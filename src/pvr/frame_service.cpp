@@ -189,19 +189,23 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
   out.id = pending.id;
 
   // Rendered-subimage cache: rebuilt only when the camera moves (open-loop
-  // traffic with a fixed camera pays the render cost once per session).
+  // traffic with a fixed camera pays the render cost once per session). The
+  // volume is generated once per session; one frame in flight per session
+  // gives this executor sole use of it.
   if (session.cached == nullptr || session.cached_rot_x != pending.request.rot_x_deg ||
       session.cached_rot_y != pending.request.rot_y_deg) {
+    if (!session.dataset) {
+      session.dataset = vol::make_dataset(session.config.dataset, session.config.volume_scale);
+    }
     ExperimentConfig config;
-    config.dataset = session.config.dataset;
-    config.volume_scale = session.config.volume_scale;
     config.image_size = session.config.image_size;
     config.ranks = session.config.ranks;
     config.rot_x_deg = pending.request.rot_x_deg;
     config.rot_y_deg = pending.request.rot_y_deg;
     config.cost_model = session.config.cost_model;
     config.engine = session.config.engine;
-    session.cached = std::make_unique<Experiment>(config);
+    session.cached.reset();  // the old view's subimages are dead: free them first
+    session.cached = std::make_unique<Experiment>(*session.dataset, config);
     session.cached_rot_x = pending.request.rot_x_deg;
     session.cached_rot_y = pending.request.rot_y_deg;
   }

@@ -143,6 +143,9 @@ class FrameService {
     core::EngineArena arena;
     std::deque<Pending> queue;
     bool in_flight = false;
+    /// The session's volume, generated on its first frame. It does not
+    /// depend on the camera, so a camera move re-renders from it.
+    std::optional<vol::Dataset> dataset;
     /// Rendered subimages cache: rebuilt only when the camera moves.
     std::unique_ptr<Experiment> cached;
     float cached_rot_x = 0.0f, cached_rot_y = 0.0f;

@@ -21,12 +21,20 @@ struct RaycastOptions {
 
 struct RenderStats {
   std::int64_t rays = 0;     ///< rays that intersected the brick
-  std::int64_t samples = 0;  ///< density samples taken
+  /// Density samples actually taken. render_brick and render_ghost_brick
+  /// jump over transparent cells without sampling them, so they count fewer
+  /// samples than render_brick_reference for the same image.
+  std::int64_t samples = 0;
 };
 
 /// Render the portion of `volume` inside `brick` into `out` (which must be
 /// camera-sized; pixels not covered stay blank). Accumulation is
 /// front-to-back premultiplied `over`, producing gray (r==g==b) pixels.
+///
+/// Empty-space skipping: rays walk only the brick's projected screen
+/// rectangle and jump across 8^3-voxel cells in which every sample would
+/// classify below `min_alpha`. Only samples render_brick_reference takes and
+/// then discards are skipped, so images are byte-identical to it.
 void render_brick(const vol::Volume& volume, const vol::TransferFunction& tf,
                   const OrthoCamera& camera, const vol::Brick& brick, img::Image& out,
                   const RaycastOptions& options = {}, RenderStats* stats = nullptr);
@@ -37,6 +45,15 @@ void render_brick(const vol::Volume& volume, const vol::TransferFunction& tf,
 void render_ghost_brick(const vol::GhostBrick& ghost, const vol::TransferFunction& tf,
                         const OrthoCamera& camera, img::Image& out,
                         const RaycastOptions& options = {}, RenderStats* stats = nullptr);
+
+/// The plain marcher: every pixel, every owned sample of the global grid
+/// sampled and classified. The oracle render_brick and render_ghost_brick are
+/// tested against (byte-identical images, equal `rays`), as
+/// core::composite_reference is for the compositors.
+void render_brick_reference(const vol::Volume& volume, const vol::TransferFunction& tf,
+                            const OrthoCamera& camera, const vol::Brick& brick,
+                            img::Image& out, const RaycastOptions& options = {},
+                            RenderStats* stats = nullptr);
 
 /// Convenience: render the whole volume (the sequential reference renderer).
 inline void render_full(const vol::Volume& volume, const vol::TransferFunction& tf,

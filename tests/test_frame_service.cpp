@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/binary_swap.hpp"
@@ -406,5 +407,36 @@ TEST(FrameService, FaultInOneSessionLeavesTheOthersByteIdentical) {
     // Both the clean frames AND the recovered frames are deterministic:
     // every one matches its serial (fault-free or fault-run) reference.
     expect_bytes_identical(frame.image, state.reference);
+  }
+}
+
+TEST(FrameService, CameraMovesRenderFromTheSessionsVolume) {
+  // Every request moves the camera, so every frame re-renders its subimages
+  // from the volume the session generated on its first frame. Each frame
+  // must equal a fresh Experiment(config).run of its own view.
+  const core::BsbrcCompositor bsbrc;
+  pvr::FrameService service;
+  const pvr::SessionConfig config = small_session("orbit", vol::DatasetKind::Head);
+  const int id = service.add_session(config, bsbrc);
+
+  const std::pair<float, float> views[] = {{18.0f, 24.0f}, {18.0f, 54.0f}, {-30.0f, 200.0f},
+                                           {18.0f, 24.0f}};
+  std::vector<std::future<pvr::FrameResult>> futures;
+  for (const auto& [rot_x, rot_y] : views) {
+    pvr::FrameRequest request;
+    request.rot_x_deg = rot_x;
+    request.rot_y_deg = rot_y;
+    auto future = service.submit(id, request);
+    ASSERT_TRUE(future.has_value());
+    futures.push_back(std::move(*future));
+  }
+  service.drain();
+
+  for (std::size_t k = 0; k < futures.size(); ++k) {
+    pvr::FrameResult frame = futures[k].get();
+    ASSERT_EQ(frame.status, pvr::FrameStatus::kDone);
+    EXPECT_FALSE(frame.report.faulted);
+    expect_bytes_identical(frame.image,
+                           serial_reference(config, bsbrc, views[k].first, views[k].second));
   }
 }

@@ -1,0 +1,252 @@
+// Empty-space skipping changes no byte: render_brick and render_ghost_brick
+// must reproduce render_brick_reference (the plain marcher) exactly, with
+// the same ray count, across datasets, partitions, views and options.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "render/raycast.hpp"
+#include "volume/datasets.hpp"
+#include "volume/ghost.hpp"
+#include "volume/partition.hpp"
+
+namespace vol = slspvr::vol;
+namespace img = slspvr::img;
+namespace render = slspvr::render;
+
+namespace {
+
+bool same_bytes(const img::Image& a, const img::Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(), a.pixels().size_bytes()) == 0;
+}
+
+std::string describe(const vol::Brick& brick, const render::OrthoCamera& camera,
+                     const render::RaycastOptions& options) {
+  std::ostringstream out;
+  out << "brick [" << brick.x0 << "," << brick.x1 << ")x[" << brick.y0 << "," << brick.y1
+      << ")x[" << brick.z0 << "," << brick.z1 << ") view (" << camera.view_dir().x << ","
+      << camera.view_dir().y << "," << camera.view_dir().z << ") step " << options.step
+      << " min_alpha " << options.min_alpha << " early " << options.early_termination;
+  return out.str();
+}
+
+/// Totals over the bricks checked, so callers can assert that skipping
+/// actually happened.
+struct Samples {
+  std::int64_t reference = 0;
+  std::int64_t kernel = 0;
+};
+
+/// Render every brick with the reference, with render_brick over the shared
+/// volume and with render_ghost_brick from the brick's ghost extraction;
+/// all three images must be byte-identical and count the same rays.
+Samples expect_identical(const vol::Volume& volume, const vol::TransferFunction& tf,
+                         const render::OrthoCamera& camera,
+                         const std::vector<vol::Brick>& bricks,
+                         const render::RaycastOptions& options) {
+  Samples total;
+  for (const vol::Brick& brick : bricks) {
+    const int w = camera.width(), h = camera.height();
+    img::Image want(w, h), shared(w, h), local(w, h);
+    render::RenderStats s_want, s_shared, s_local;
+    render::render_brick_reference(volume, tf, camera, brick, want, options, &s_want);
+    render::render_brick(volume, tf, camera, brick, shared, options, &s_shared);
+    render::render_ghost_brick(vol::GhostBrick::extract(volume, brick, 1), tf, camera, local,
+                               options, &s_local);
+    EXPECT_TRUE(same_bytes(shared, want)) << "render_brick, " << describe(brick, camera, options);
+    EXPECT_TRUE(same_bytes(local, want))
+        << "render_ghost_brick, " << describe(brick, camera, options);
+    EXPECT_EQ(s_shared.rays, s_want.rays) << describe(brick, camera, options);
+    EXPECT_EQ(s_local.rays, s_want.rays) << describe(brick, camera, options);
+    EXPECT_LE(s_shared.samples, s_want.samples) << describe(brick, camera, options);
+    EXPECT_LE(s_local.samples, s_want.samples) << describe(brick, camera, options);
+    total.reference += s_want.samples;
+    total.kernel += s_shared.samples;
+  }
+  return total;
+}
+
+/// kd bricks for P in {1, 2, 4, 8} and slab bricks for P in {3, 5}: the
+/// partitions Experiment uses for power-of-two and other rank counts.
+std::vector<std::vector<vol::Brick>> partitions(const vol::Dims& dims) {
+  std::vector<std::vector<vol::Brick>> out;
+  for (const int p : {1, 2, 4, 8}) out.push_back(vol::kd_partition(dims, p).bricks);
+  for (const int p : {3, 5}) out.push_back(vol::slab_partition(dims, p, /*axis=*/0));
+  return out;
+}
+
+struct View {
+  float rot_x;
+  float rot_y;
+};
+
+/// Axis-aligned views (their zero or near-zero direction components take
+/// the clip's |d| < 1e-7 branch) and oblique ones.
+constexpr View kViews[] = {{0, 0},      {90, 0},    {-90, 0},  {180, 0},  {0, 90},
+                           {0, -90},    {0, 180},   {18, 24},  {-30, 45}, {10, -35},
+                           {63, 117}};
+
+struct DatasetCase {
+  vol::DatasetKind kind;
+  double scale;
+};
+
+class RaycastIdentityDatasets : public ::testing::TestWithParam<DatasetCase> {};
+
+TEST_P(RaycastIdentityDatasets, EveryPartitionAndView) {
+  const auto [kind, scale] = GetParam();
+  const vol::Dataset ds = vol::make_dataset(kind, scale);
+  const int size = 40;
+  Samples total;
+  for (const View& view : kViews) {
+    const render::OrthoCamera camera(ds.volume.dims(), size, size, view.rot_x, view.rot_y);
+    for (const std::vector<vol::Brick>& bricks : partitions(ds.volume.dims())) {
+      const Samples s = expect_identical(ds.volume, ds.tf, camera, bricks, {});
+      total.reference += s.reference;
+      total.kernel += s.kernel;
+    }
+  }
+  EXPECT_LT(total.kernel, total.reference);  // the skipping is live
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scales012To035, RaycastIdentityDatasets,
+    ::testing::Values(DatasetCase{vol::DatasetKind::EngineLow, 0.12},
+                      DatasetCase{vol::DatasetKind::EngineHigh, 0.2},
+                      DatasetCase{vol::DatasetKind::Head, 0.28},
+                      DatasetCase{vol::DatasetKind::Cube, 0.35}),
+    [](const ::testing::TestParamInfo<DatasetCase>& info) {
+      return std::string(vol::dataset_name(info.param.kind));
+    });
+
+struct OptionsCase {
+  float step;
+  float min_alpha;
+  bool early_termination;
+};
+
+class RaycastIdentityOptions : public ::testing::TestWithParam<OptionsCase> {};
+
+TEST_P(RaycastIdentityOptions, StepMinAlphaAndTermination) {
+  const auto [step, min_alpha, early] = GetParam();
+  render::RaycastOptions options;
+  options.step = step;
+  options.min_alpha = min_alpha;
+  if (!early) options.early_termination = 2.0f;  // never fires
+  const int size = 40;
+  for (const auto kind : {vol::DatasetKind::EngineLow, vol::DatasetKind::Head}) {
+    const vol::Dataset ds = vol::make_dataset(kind, 0.2);
+    for (const View& view : {View{0, 0}, View{0, 90}, View{18, 24}, View{-40, 200}}) {
+      const render::OrthoCamera camera(ds.volume.dims(), size, size, view.rot_x, view.rot_y);
+      const Samples s = expect_identical(ds.volume, ds.tf, camera,
+                                         vol::kd_partition(ds.volume.dims(), 4).bricks, options);
+      if (min_alpha == 0.0f) EXPECT_EQ(s.kernel, s.reference);  // nothing is transparent
+    }
+  }
+}
+
+std::vector<OptionsCase> all_options() {
+  std::vector<OptionsCase> out;
+  for (const float step : {0.5f, 1.0f, 1.7f}) {
+    for (const float min_alpha : {0.0f, render::RaycastOptions{}.min_alpha, 0.3f}) {
+      for (const bool early : {true, false}) out.push_back({step, min_alpha, early});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RaycastIdentityOptions, ::testing::ValuesIn(all_options()),
+    [](const ::testing::TestParamInfo<OptionsCase>& info) {
+      const OptionsCase& c = info.param;
+      std::string name = "step" + std::to_string(static_cast<int>(c.step * 10.0f + 0.5f)) +
+                         "_alpha" + std::to_string(static_cast<int>(c.min_alpha * 1e4f + 0.5f));
+      return name + (c.early_termination ? "_early" : "_full");
+    });
+
+TEST(RaycastIdentity, RandomBricksViewsAndThresholds) {
+  // Blocks of three kinds around a sharp ramp that starts at density 118:
+  // noise across it, empty space, and mostly-118 blocks capped at 118. A
+  // density of 118 reaches min_alpha only through the table entry above
+  // 118's, so the widened range must keep those cells. Arbitrary bricks
+  // (volume faces, single voxels, off-grid corners) exercise the clamped
+  // stencils and the partial last cells.
+  std::mt19937 rng(0x5EEDu);
+  vol::Volume volume(vol::Dims{37, 29, 23});
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<int> near(90, 130);
+  std::uniform_int_distribution<int> capped(100, 117);
+  for (int z = 0; z < 23; ++z) {
+    for (int y = 0; y < 29; ++y) {
+      for (int x = 0; x < 37; ++x) {
+        int v = 0;
+        switch ((x / 10 + 4 * (y / 10) + 12 * (z / 10)) % 3) {
+          case 0: v = (x + y + z) % 7 == 0 ? byte(rng) : near(rng); break;
+          case 1: v = (x + 2 * y + 3 * z) % 5 == 0 ? capped(rng) : 118; break;
+          default: break;
+        }
+        volume.at(x, y, z) = static_cast<std::uint8_t>(v);
+      }
+    }
+  }
+  const vol::TransferFunction tf = vol::ramp_tf(118.0f, 122.0f, 0.7f);
+  std::uniform_real_distribution<float> angle(-180.0f, 180.0f);
+  std::uniform_int_distribution<int> pick(0, 3);
+  const float steps[] = {0.5f, 1.0f, 1.7f, 0.8f};
+  const float alphas[] = {1.0f / 512.0f, 0.05f, 0.3f, 0.0f};
+  const auto corner = [&](int n) {
+    std::uniform_int_distribution<int> at(0, n);
+    int a = at(rng), b = at(rng);
+    if (a > b) std::swap(a, b);
+    if (a == b) {  // keep the brick non-empty
+      b = std::min(n, a + 1);
+      a = b - 1;
+    }
+    return std::pair{a, b};
+  };
+  for (int k = 0; k < 120; ++k) {
+    const auto [x0, x1] = corner(37);
+    const auto [y0, y1] = corner(29);
+    const auto [z0, z1] = corner(23);
+    render::RaycastOptions options;
+    options.step = steps[pick(rng)];
+    options.min_alpha = alphas[pick(rng)];
+    if (pick(rng) == 0) options.early_termination = 2.0f;
+    const render::OrthoCamera camera(volume.dims(), 36, 30, angle(rng), angle(rng));
+    (void)expect_identical(volume, tf, camera, {vol::Brick{x0, y0, z0, x1, y1, z1}}, options);
+  }
+}
+
+class RaycastIdentityServiceSize : public ::testing::TestWithParam<vol::DatasetKind> {};
+
+TEST_P(RaycastIdentityServiceSize, TwoRingViewsAt384) {
+  // A service-orbit frame: 384^2, scale 0.5, kd bricks for P = 4, two views
+  // of the 30-degree ring.
+  const vol::Dataset ds = vol::make_dataset(GetParam(), 0.5);
+  Samples total;
+  for (const View& view : {View{18.0f, 24.0f}, View{18.0f, 144.0f}}) {
+    const render::OrthoCamera camera(ds.volume.dims(), 384, 384, view.rot_x, view.rot_y);
+    const Samples s = expect_identical(ds.volume, ds.tf, camera,
+                                       vol::kd_partition(ds.volume.dims(), 4).bricks, {});
+    total.reference += s.reference;
+    total.kernel += s.kernel;
+  }
+  EXPECT_LT(total.kernel, total.reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, RaycastIdentityServiceSize,
+                         ::testing::Values(vol::DatasetKind::Cube, vol::DatasetKind::Head,
+                                           vol::DatasetKind::EngineLow),
+                         [](const ::testing::TestParamInfo<vol::DatasetKind>& info) {
+                           return std::string(vol::dataset_name(info.param));
+                         });
+
+}  // namespace
