@@ -78,14 +78,14 @@ img::Image gather_final(mp::Comm& comm, const img::Image& local, const Ownership
         // back to the copying read if a transport ever hands us worse).
         for (int y = r.y0; y < r.y1; ++y) {
           const auto n = static_cast<std::size_t>(r.width());
-          const std::span<const std::byte> bytes = in.get_bytes(n * sizeof(img::Pixel));
-          if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(img::Pixel) == 0) {
+          const std::span<const std::byte> row_bytes = in.get_bytes(n * sizeof(img::Pixel));
+          if (reinterpret_cast<std::uintptr_t>(row_bytes.data()) % alignof(img::Pixel) == 0) {
             img::kern::copy_span_nt(&out.at(r.x0, y),
-                                    reinterpret_cast<const img::Pixel*>(bytes.data()),
+                                    reinterpret_cast<const img::Pixel*>(row_bytes.data()),
                                     r.width());
           } else {
             std::vector<img::Pixel> row(n);
-            std::memcpy(row.data(), bytes.data(), n * sizeof(img::Pixel));
+            std::memcpy(row.data(), row_bytes.data(), n * sizeof(img::Pixel));
             img::kern::copy_span_nt(&out.at(r.x0, y), row.data(), r.width());
           }
         }

@@ -38,7 +38,7 @@ const T* typed_view(std::span<const std::byte> bytes, std::size_t count,
     return reinterpret_cast<const T*>(bytes.data());
   }
   bounce.resize(count);
-  std::memcpy(bounce.data(), bytes.data(), count * sizeof(T));
+  if (count != 0) std::memcpy(bounce.data(), bytes.data(), count * sizeof(T));
   return bounce.data();
 }
 

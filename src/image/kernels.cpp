@@ -398,7 +398,8 @@ void rle_classify_flush(RunState& state, Rle& out) { detail::emit_run(out.codes,
 void gather_strided(const Pixel* base, std::int64_t offset, std::int64_t stride,
                     std::int64_t count, Pixel* out) noexcept {
   if (stride == 1) {
-    std::memcpy(out, base + offset, static_cast<std::size_t>(count) * sizeof(Pixel));
+    // count == 0 may come with a null `out`, which memcpy must not see.
+    if (count > 0) std::memcpy(out, base + offset, static_cast<std::size_t>(count) * sizeof(Pixel));
     return;
   }
 #if defined(SLSPVR_KERNELS_X86)
@@ -413,7 +414,7 @@ void gather_strided(const Pixel* base, std::int64_t offset, std::int64_t stride,
 void scatter_strided(const Pixel* src, std::int64_t count, Pixel* base, std::int64_t offset,
                      std::int64_t stride) noexcept {
   if (stride == 1) {
-    std::memcpy(base + offset, src, static_cast<std::size_t>(count) * sizeof(Pixel));
+    if (count > 0) std::memcpy(base + offset, src, static_cast<std::size_t>(count) * sizeof(Pixel));
     return;
   }
 #if defined(SLSPVR_KERNELS_X86)

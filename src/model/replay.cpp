@@ -226,7 +226,7 @@ int replay_worker(int rank, const mp::Endpoint& endpoint, const ReplaySchedule& 
       const auto& clock = ctx.trace.clock(rank);
       w.u32(static_cast<std::uint32_t>(clock.size()));
       for (const std::uint64_t c : clock) w.u64(c);
-      sock->send_report(kReportReplayTrace, w.data());
+      sock->send_report(kReportReplayTrace, w.take());
     };
 
     try {

@@ -24,7 +24,22 @@ namespace slspvr::mp {
 /// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum used
 /// by iSCSI/ext4; chosen over CRC32 for its better burst-error detection.
 /// `seed` chains partial computations (pass the previous return value).
+/// Runs on the SSE4.2 `crc32` instruction where the CPU has it and on a
+/// byte-at-a-time table everywhere else; both compute the same polynomial,
+/// so every checksum is the same on every host.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+namespace detail {
+
+/// The two implementations crc32c dispatches between, callable directly so
+/// tests can check each against a reference. crc32c_sse42 requires
+/// crc32c_sse42_supported(); where it is not compiled in (non-x86 builds)
+/// it falls back to the table.
+[[nodiscard]] std::uint32_t crc32c_table(std::span<const std::byte> data, std::uint32_t seed);
+[[nodiscard]] std::uint32_t crc32c_sse42(std::span<const std::byte> data, std::uint32_t seed);
+[[nodiscard]] bool crc32c_sse42_supported() noexcept;
+
+}  // namespace detail
 
 /// Raised by parse_envelope on any framing violation: bad magic, truncated
 /// header, length field disagreeing with the buffer, or checksum mismatch.
@@ -57,6 +72,12 @@ inline constexpr std::size_t kEnvelopeHeaderBytes = 24;
                                                    std::span<const std::byte> payload,
                                                    std::uint32_t generation = 0);
 
+/// Seal an envelope laid out in place: `framed` is a kEnvelopeHeaderBytes
+/// slot followed by the payload. Writes the header (length, seq,
+/// generation, CRC) into the slot — for callers that build the payload
+/// behind the slot themselves, so it is never copied to be framed.
+void seal_envelope(std::span<std::byte> framed, std::uint64_t seq, std::uint32_t generation);
+
 /// Serial-number ordering (RFC 1982 style) on the per-channel sequence
 /// space: `a` precedes `b` iff the wrapped distance from `a` to `b` is
 /// positive. Identical to `a < b` everywhere except across the 2^64
@@ -76,6 +97,17 @@ struct ParsedEnvelope {
 /// Unframe and verify. Throws EnvelopeError on any damage; never reads out
 /// of bounds regardless of input bytes (decode-fuzz tested).
 [[nodiscard]] ParsedEnvelope parse_envelope(std::span<const std::byte> framed);
+
+/// A verified envelope whose payload still points into the framed bytes.
+struct EnvelopeView {
+  std::uint64_t seq = 0;
+  std::uint32_t generation = 0;
+  std::span<const std::byte> payload;
+};
+
+/// parse_envelope without the payload copy: the same checks, the same
+/// EnvelopeError on damage.
+[[nodiscard]] EnvelopeView verify_envelope(std::span<const std::byte> framed);
 
 /// Knobs for the NAK/retransmit state machine. `max_attempts == 0` disables
 /// the reliable transport entirely: sends are unframed and receives behave

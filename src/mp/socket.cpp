@@ -50,13 +50,13 @@ std::uint64_t get_u64(std::span<const std::byte> in, std::size_t at) {
 /// Decode the SLP1-enveloped frame body (everything after the 8-byte wire
 /// header). Shared by the blocking and incremental readers.
 Frame parse_frame_body(std::span<const std::byte> envelope_bytes) {
-  ParsedEnvelope envelope;
+  EnvelopeView envelope;
   try {
-    envelope = parse_envelope(envelope_bytes);
+    envelope = verify_envelope(envelope_bytes);
   } catch (const EnvelopeError& e) {
     throw TransportError(std::string("frame envelope damaged: ") + e.what());
   }
-  const std::span<const std::byte> body(envelope.payload);
+  const std::span<const std::byte> body = envelope.payload;
   if (body.size() < 20) {
     throw TransportError("frame body truncated: " + std::to_string(body.size()) + " byte(s)");
   }
@@ -331,22 +331,24 @@ std::vector<std::byte> pack_frame(const Frame& frame) {
     throw TransportError("frame clock count " + std::to_string(frame.clock.size()) +
                          " exceeds cap");
   }
-  std::vector<std::byte> body;
-  body.reserve(20 + frame.clock.size() * 8 + frame.payload.size());
-  put_u32(body, static_cast<std::uint32_t>(frame.kind));
-  put_u32(body, static_cast<std::uint32_t>(frame.source));
-  put_u32(body, static_cast<std::uint32_t>(frame.dest));
-  put_u32(body, static_cast<std::uint32_t>(frame.tag));
-  put_u32(body, static_cast<std::uint32_t>(frame.clock.size()));
-  for (const std::uint64_t c : frame.clock) put_u64(body, c);
-  body.insert(body.end(), frame.payload.begin(), frame.payload.end());
-
-  const std::vector<std::byte> envelope = pack_envelope(frame.seq, body, frame.generation);
+  // Wire header, envelope header slot, body: laid out once in the wire
+  // buffer, so the payload is copied once and the envelope is sealed in
+  // place.
+  const std::size_t envelope_len =
+      kEnvelopeHeaderBytes + 20 + frame.clock.size() * 8 + frame.payload.size();
   std::vector<std::byte> wire;
-  wire.reserve(kFrameHeaderBytes + envelope.size());
+  wire.reserve(kFrameHeaderBytes + envelope_len);
   put_u32(wire, kFrameMagic);
-  put_u32(wire, static_cast<std::uint32_t>(envelope.size()));
-  wire.insert(wire.end(), envelope.begin(), envelope.end());
+  put_u32(wire, static_cast<std::uint32_t>(envelope_len));
+  wire.resize(kFrameHeaderBytes + kEnvelopeHeaderBytes);
+  put_u32(wire, static_cast<std::uint32_t>(frame.kind));
+  put_u32(wire, static_cast<std::uint32_t>(frame.source));
+  put_u32(wire, static_cast<std::uint32_t>(frame.dest));
+  put_u32(wire, static_cast<std::uint32_t>(frame.tag));
+  put_u32(wire, static_cast<std::uint32_t>(frame.clock.size()));
+  for (const std::uint64_t c : frame.clock) put_u64(wire, c);
+  wire.insert(wire.end(), frame.payload.begin(), frame.payload.end());
+  seal_envelope(std::span(wire).subspan(kFrameHeaderBytes), frame.seq, frame.generation);
   return wire;
 }
 
@@ -391,7 +393,16 @@ std::optional<Frame> FrameReader::next() {
   if (len < kEnvelopeHeaderBytes || len > kMaxFramePayload + (1u << 20)) {
     throw TransportError("implausible frame length " + std::to_string(len));
   }
-  if (view.size() < kFrameHeaderBytes + len) return std::nullopt;
+  if (view.size() < kFrameHeaderBytes + len) {
+    // Make room for the whole frame once, instead of regrowing the buffer
+    // on every recv() while a large frame trickles in.
+    if (buf_.capacity() - pos_ < kFrameHeaderBytes + len) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+      pos_ = 0;
+      buf_.reserve(kFrameHeaderBytes + len);
+    }
+    return std::nullopt;
+  }
   Frame frame = parse_frame_body(view.subspan(kFrameHeaderBytes, len));
   pos_ += kFrameHeaderBytes + len;
   return frame;

@@ -40,12 +40,12 @@ void SocketTransport::submit(int dest, Message msg) {
   write_frame(frame);
 }
 
-void SocketTransport::send_report(int kind, std::span<const std::byte> payload) {
+void SocketTransport::send_report(int kind, std::vector<std::byte> payload) {
   Frame frame;
   frame.kind = FrameKind::kReport;
   frame.source = rank_;
   frame.tag = kind;
-  frame.payload.assign(payload.begin(), payload.end());
+  frame.payload = std::move(payload);
   write_frame(frame);
 }
 

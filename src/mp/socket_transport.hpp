@@ -74,8 +74,9 @@ class SocketTransport final : public Transport {
   void note_stage(int stage) noexcept { stage_.store(stage, std::memory_order_relaxed); }
 
   /// Ship a kReport frame (serialized results, snapshots, failure info);
-  /// `kind` is the report discriminator echoed in the frame tag.
-  void send_report(int kind, std::span<const std::byte> payload);
+  /// `kind` is the report discriminator echoed in the frame tag. Taken by
+  /// value: a caller done with its buffer moves it into the frame.
+  void send_report(int kind, std::vector<std::byte> payload);
 
   /// Announce a *primary* failure of this rank (its own exception, not a
   /// peer's): the supervisor records it and broadcasts kPeerFailed so the

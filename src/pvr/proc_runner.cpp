@@ -46,6 +46,9 @@ void trigger_crash(const ProcCrash& crash) {
       (void)::raise(SIGSTOP);
       break;
     case ProcCrash::Kind::kSigsegv:
+      // Die by the default action even where a handler is installed (the
+      // sanitizers install one that reports and exits instead).
+      (void)::signal(SIGSEGV, SIG_DFL);
       (void)::raise(SIGSEGV);
       break;
     case ProcCrash::Kind::kExit:
@@ -74,7 +77,7 @@ void ship_state(mp::SocketTransport& sock, int rank, const mp::CommContext& ctx,
   w.u64(ctx.trace.retry_bytes(rank));
   w.u64(ctx.trace.abandoned(rank));
   w.f64(wall_ms);
-  sock.send_report(kReportState, w.data());
+  sock.send_report(kReportState, w.take());
 }
 
 void ship_failure(mp::SocketTransport& sock, int stage, bool primary,
@@ -84,7 +87,7 @@ void ship_failure(mp::SocketTransport& sock, int stage, bool primary,
     w.i32(stage);
     w.u8(primary ? 1 : 0);
     w.str(what);
-    sock.send_report(kReportFailure, w.data());
+    sock.send_report(kReportFailure, w.take());
   }
   {
     ByteWriter w;
@@ -95,7 +98,7 @@ void ship_failure(mp::SocketTransport& sock, int stage, bool primary,
       write_rect(w, snap.region);
       write_image(w, snap.image);
     }
-    sock.send_report(kReportSnapshots, w.data());
+    sock.send_report(kReportSnapshots, w.take());
   }
 }
 
@@ -162,7 +165,7 @@ int worker_main(int rank, const mp::Endpoint& endpoint, const core::Compositor& 
       if (rank == 0) {
         ByteWriter w;
         write_image(w, gathered);
-        sock->send_report(kReportImage, w.data());
+        sock->send_report(kReportImage, w.take());
       }
       sock->goodbye_and_wait(opts.drain_deadline);
       return mp::kWorkerExitClean;
@@ -432,7 +435,7 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
         // frame out degraded — the bottom rung of the recovery ladder.
         ByteWriter w;
         write_image(w, local);
-        sock.send_report(kReportSubimage, w.data());
+        sock.send_report(kReportSubimage, w.take());
         sock.end_frame(frame, /*aborted=*/false);
         continue;
       }
@@ -470,7 +473,7 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
         if (rank == 0) {
           ByteWriter w;
           write_image(w, gathered);
-          sock.send_report(kReportImage, w.data());
+          sock.send_report(kReportImage, w.take());
         }
       } catch (const mp::PeerFailedError& e) {
         aborted = true;
@@ -591,7 +594,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
   seq.frames = opts.frames;
   seq.respawn = opts.respawn;
 
-  const mp::SequenceOutcome outcome = mp::Supervisor::run_sequence(
+  mp::SequenceOutcome outcome = mp::Supervisor::run_sequence(
       sup, seq, [&](int rank, std::uint32_t generation, const mp::Endpoint& at) {
         return sequence_worker_main(rank, generation, at, method, dataset, base, opts);
       });
@@ -606,9 +609,12 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
     if (r >= 0 && r < ranks) ever_failed[static_cast<std::size_t>(r)] = true;
   }
 
-  for (const mp::FrameOutcome& fo : outcome.frames) {
+  for (mp::FrameOutcome& fo : outcome.frames) {
     const ExperimentConfig cfg = sequence_frame_config(base, opts, fo.frame);
     DecodedReports dec = decode_reports(fo.reports, ranks);
+    // Free the raw report bytes now: kept until the loop ends, every frame's
+    // encoded image would stay alive next to its decoded copy.
+    fo.reports.clear();
 
     FtMethodResult ft;
     ft.report.retry_stats += dec.trace.retry_stats();

@@ -1,7 +1,9 @@
 #include "pvr/serialize.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 namespace slspvr::pvr {
 
@@ -91,27 +93,32 @@ std::string ByteReader::str() {
   return s;
 }
 
+void ByteReader::bytes(std::span<std::byte> out) {
+  need(out.size());
+  if (out.empty()) return;  // memcpy must not see an empty span's null data()
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
+// The wire format is each pixel's r, g, b, a as little-endian float bit
+// patterns, which is what a Pixel array holds on a little-endian host (the
+// SLP1 envelope layout assumes one too).
+static_assert(std::endian::native == std::endian::little,
+              "image serialisation copies pixels verbatim as little-endian");
+static_assert(std::is_trivially_copyable_v<img::Pixel> && sizeof(img::Pixel) == 4 * sizeof(float),
+              "a Pixel must be exactly its four float bit patterns");
+
 void write_image(ByteWriter& w, const img::Image& image) {
   w.i32(image.width());
   w.i32(image.height());
-  for (const img::Pixel& p : image.pixels()) {
-    w.f32(p.r);
-    w.f32(p.g);
-    w.f32(p.b);
-    w.f32(p.a);
-  }
+  w.bytes(std::as_bytes(image.pixels()));
 }
 
 img::Image read_image(ByteReader& r) {
   const int width = r.i32();
   const int height = r.i32();
   img::Image image(width, height);  // throws on negative dims
-  for (img::Pixel& p : image.pixels()) {
-    p.r = r.f32();
-    p.g = r.f32();
-    p.b = r.f32();
-    p.a = r.f32();
-  }
+  r.bytes(std::as_writable_bytes(image.pixels()));
   return image;
 }
 

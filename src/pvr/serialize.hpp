@@ -57,6 +57,7 @@ class ByteReader {
   [[nodiscard]] float f32();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  void bytes(std::span<std::byte> out);  ///< the next out.size() bytes, verbatim
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return remaining() == 0; }
@@ -69,7 +70,9 @@ class ByteReader {
 };
 
 /// Image as width, height, then width*height 16-byte pixels (4 float bit
-/// patterns each) — the round trip is bit-exact by construction.
+/// patterns each) — the round trip is bit-exact by construction. The pixel
+/// array crosses as one block copy: in memory it already is those bit
+/// patterns, little-endian.
 void write_image(ByteWriter& w, const img::Image& image);
 [[nodiscard]] img::Image read_image(ByteReader& r);
 

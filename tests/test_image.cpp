@@ -191,6 +191,23 @@ TEST(Pack, RoundTripMixedTypes) {
   EXPECT_TRUE(in.exhausted());
 }
 
+TEST(Pack, EmptySpansCopyNothing) {
+  // An empty span's or vector's data() may be null, which memcpy must not
+  // see (UBSan stops there): appending an empty span, into an empty buffer
+  // or behind existing bytes, and reading zero values.
+  img::PackBuffer buf;
+  buf.put_span(std::span<const img::Pixel>{});
+  EXPECT_EQ(buf.size(), 0u);
+  buf.put(std::uint32_t{7});
+  buf.put_span(std::span<const std::uint16_t>{});
+  ASSERT_EQ(buf.size(), 4u);
+  img::UnpackBuffer in(buf.bytes());
+  EXPECT_TRUE(in.get_vector<std::uint16_t>(0).empty());
+  EXPECT_EQ(in.get<std::uint32_t>(), 7u);
+  EXPECT_TRUE(in.get_vector<std::uint16_t>(0).empty());
+  EXPECT_TRUE(in.exhausted());
+}
+
 TEST(Pack, ShortReadThrows) {
   img::PackBuffer buf;
   buf.put(std::int16_t{1});

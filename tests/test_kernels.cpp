@@ -55,8 +55,9 @@ std::vector<img::Pixel> random_pixels(std::int64_t n, double blank_prob,
 }
 
 bool bytes_equal(const std::vector<img::Pixel>& a, const std::vector<img::Pixel>& b) {
+  // Empty vectors may hold null data(), which memcmp must not see.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(img::Pixel)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(img::Pixel)) == 0);
 }
 
 TEST(Kernels, ForceScalarOverridesDispatch) {

@@ -6,6 +6,8 @@
 // FaultReport.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -152,6 +154,75 @@ TEST(Wire, DamagedFrameIsATypedTransportError) {
   mp::FrameReader reader;
   reader.feed(wire);
   EXPECT_THROW((void)reader.next(), mp::TransportError);
+}
+
+namespace {
+
+std::vector<std::byte> bytes_from(std::initializer_list<std::uint8_t> values) {
+  std::vector<std::byte> out;
+  for (const std::uint8_t v : values) out.push_back(std::byte{v});
+  return out;
+}
+
+/// pack_frame must produce exactly `golden`, and the bytes must parse back
+/// to the same frame, field for field.
+void expect_golden_frame(const mp::Frame& frame, const std::vector<std::byte>& golden) {
+  const std::vector<std::byte> wire = mp::pack_frame(frame);
+  ASSERT_EQ(wire.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(wire[i], golden[i]) << "byte " << i;
+  }
+  mp::FrameReader reader;
+  reader.feed(golden);
+  const auto got = reader.next();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->kind, frame.kind);
+  EXPECT_EQ(got->source, frame.source);
+  EXPECT_EQ(got->dest, frame.dest);
+  EXPECT_EQ(got->tag, frame.tag);
+  EXPECT_EQ(got->seq, frame.seq);
+  EXPECT_EQ(got->generation, frame.generation);
+  EXPECT_EQ(got->clock, frame.clock);
+  EXPECT_EQ(got->payload, frame.payload);
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+}  // namespace
+
+// The wire format, fixed byte for byte: SLPW header, SLP1 envelope header
+// (length, seq, generation, CRC32C), body header, clock, payload.
+TEST(Wire, DataFrameGoldenBytes) {
+  mp::Frame frame;
+  frame.kind = mp::FrameKind::kData;
+  frame.source = 2;
+  frame.dest = 1;
+  frame.tag = -1002;
+  frame.seq = 0x0102'0304'0506'0708ull;
+  frame.generation = 3;
+  frame.clock = {5, 0, 0xFFFF'FFFF'FFFF'FFFEull};
+  frame.payload = bytes_from({0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF, 0x5A});
+  expect_golden_frame(frame, bytes_from({
+      0x53, 0x4C, 0x50, 0x57, 0x4B, 0x00, 0x00, 0x00, 0x53, 0x4C, 0x50, 0x31,
+      0x33, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x03, 0x00, 0x00, 0x00, 0x73, 0x34, 0x62, 0x4A, 0x02, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x16, 0xFC, 0xFF, 0xFF,
+      0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFE, 0xFF, 0xFF, 0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF, 0x5A}));
+}
+
+TEST(Wire, ReportFrameGoldenBytes) {
+  mp::Frame frame;
+  frame.kind = mp::FrameKind::kReport;
+  frame.source = 0;
+  frame.tag = 2;
+  frame.payload = bytes_from({0xDE, 0xAD, 0xBE, 0xEF, 0x01});
+  expect_golden_frame(frame, bytes_from({
+      0x53, 0x4C, 0x50, 0x57, 0x31, 0x00, 0x00, 0x00, 0x53, 0x4C, 0x50, 0x31,
+      0x19, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x7A, 0xCC, 0x39, 0x0E, 0x04, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01}));
 }
 
 // --- Endpoint parsing --------------------------------------------------------
@@ -351,6 +422,38 @@ TEST(Sequence, CleanFramesAreByteIdenticalToInProcess) {
                             ex.run(bsbrc).final_image);
   }
 }
+
+namespace {
+
+/// 384² frames over real sockets: rank 0 ships a 2.36 MB final image and
+/// compositing messages reach about 180 KB, so frames cross the links in
+/// many partial writes and reach FrameReader in many pieces. Each frame
+/// must match the in-process run of its view, image and traffic alike.
+void run_large_frames(const std::string& transport) {
+  pvr::ExperimentConfig base = small_config(4);
+  base.image_size = 384;
+  const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
+  const slspvr::core::BsbrcCompositor bsbrc;
+  const pvr::SequenceProcOptions opts = seq_opts(2, transport);
+
+  const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);
+  EXPECT_FALSE(run.report.faulted) << run.report.summary();
+  ASSERT_EQ(run.frames.size(), 2u);
+  for (int f = 0; f < 2; ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const pvr::FtMethodResult& ft = run.frames[static_cast<std::size_t>(f)];
+    EXPECT_FALSE(ft.report.faulted) << ft.report.summary();
+    const pvr::MethodResult want = pvr::Experiment(dataset, stepped(base, opts, f)).run(bsbrc);
+    EXPECT_EQ(ft.result.received_bytes_per_rank, want.received_bytes_per_rank);
+    expect_images_identical(ft.result.final_image, want.final_image);
+  }
+}
+
+}  // namespace
+
+TEST(Sequence, LargeFramesAreByteIdenticalUnix) { run_large_frames("unix"); }
+
+TEST(Sequence, LargeFramesAreByteIdenticalTcp) { run_large_frames("tcp"); }
 
 namespace {
 

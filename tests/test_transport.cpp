@@ -1,5 +1,6 @@
 // Transport-layer robustness tests: CRC32C against the RFC 3720 reference
-// vectors, serial-number seq comparison across the 2^64 wraparound, bounded
+// vectors and, path by path (SSE4.2 instruction, table), against a bitwise
+// reference; serial-number seq comparison across the 2^64 wraparound, bounded
 // mailbox backpressure (including poison-wake of a blocked depositor), retry
 // exhaustion surfacing RetryExhaustedError + the abandoned counter, and the
 // byte-exact serialization used to ship worker results to the supervisor.
@@ -9,6 +10,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string_view>
 #include <thread>
@@ -33,6 +35,57 @@ std::vector<std::byte> bytes_of(std::string_view s) {
   std::vector<std::byte> out(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) out[i] = static_cast<std::byte>(s[i]);
   return out;
+}
+
+/// CRC32C one bit at a time, straight from the reflected polynomial: the
+/// oracle both production paths are checked against.
+std::uint32_t crc32c_bitwise(std::span<const std::byte> data, std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (const std::byte b : data) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F6'3B78u : crc >> 1;
+  }
+  return ~crc;
+}
+
+/// Deterministic pseudo-random bytes (xorshift64), so every run checks the
+/// same buffers.
+std::vector<std::byte> noise_bytes(std::size_t n, std::uint64_t state) {
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    b = static_cast<std::byte>(state >> 56);
+  }
+  return out;
+}
+
+using Crc32cPath = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+
+/// Every length 0..1024 at 8 start offsets (so the 8-byte steps meet every
+/// alignment and every tail length), chained seeds, and one 3 MB buffer.
+void expect_path_matches_bitwise(Crc32cPath path) {
+  const std::vector<std::byte> buf = noise_bytes(1024 + 8, 0x9E37'79B9'7F4A'7C15ull);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto data = std::span(buf).subspan(offset, len);
+      ASSERT_EQ(path(data, 0), crc32c_bitwise(data, 0))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  // Seeds chain: any split point, and arbitrary seeds pass through unchanged.
+  const auto all = std::span(buf).first(1024);
+  for (std::size_t split = 0; split <= all.size(); split += 7) {
+    ASSERT_EQ(path(all.subspan(split), path(all.first(split), 0)), crc32c_bitwise(all, 0))
+        << "split at " << split;
+  }
+  for (const std::uint32_t seed : {0x0000'0001u, 0xDEAD'BEEFu, 0xFFFF'FFFFu}) {
+    ASSERT_EQ(path(all.subspan(3, 517), seed), crc32c_bitwise(all.subspan(3, 517), seed))
+        << "seed " << seed;
+  }
+  const std::vector<std::byte> big = noise_bytes(3 * 1024 * 1024 + 5, 0xC0FF'EEull);
+  EXPECT_EQ(path(big, 0), crc32c_bitwise(big, 0));
 }
 
 mp::Message make_msg(int source, int tag) {
@@ -68,6 +121,18 @@ TEST(Crc32c, SeedChainsPartialComputations) {
   const std::vector<std::byte> whole = bytes_of("123456789");
   const std::uint32_t first = mp::crc32c(std::span(whole).first(4));
   EXPECT_EQ(mp::crc32c(std::span(whole).subspan(4), first), mp::crc32c(whole));
+}
+
+TEST(Crc32c, TablePathMatchesBitwiseReference) {
+  expect_path_matches_bitwise(&mp::detail::crc32c_table);
+}
+
+TEST(Crc32c, Sse42PathMatchesBitwiseReference) {
+  if (!mp::detail::crc32c_sse42_supported()) {
+    GTEST_SKIP() << "this CPU (or build) has no SSE4.2 crc32 instruction: "
+                    "only the table path is checked";
+  }
+  expect_path_matches_bitwise(&mp::detail::crc32c_sse42);
 }
 
 // --- seq_before: RFC 1982 serial ordering across the wraparound --------------
@@ -317,6 +382,58 @@ TEST(Serialize, ImageRoundTripIsByteIdentical) {
       EXPECT_EQ(a.a, b.a);
     }
   }
+}
+
+TEST(Serialize, ImageGoldenBytesAndBitExactRoundTrip) {
+  // A 2x1 image of awkward floats, set by bit pattern: -0.0, a quiet NaN
+  // with a payload, the smallest denormal, 1.0 | a signalling NaN with a
+  // payload, the largest negative denormal, 0.5, 0.0.
+  const std::uint32_t bits[8] = {0x8000'0000u, 0x7FC1'2345u, 0x0000'0001u, 0x3F80'0000u,
+                                 0xFFA0'0001u, 0x807F'FFFFu, 0x3F00'0000u, 0x0000'0000u};
+  img::Image image(2, 1);
+  std::memcpy(image.pixels().data(), bits, sizeof bits);
+
+  pvr::ByteWriter w;
+  pvr::write_image(w, image);
+  const std::vector<std::byte> buf = std::move(w).take();
+  // The serialisation format, fixed: width, height, then each float's
+  // little-endian bit pattern.
+  const std::vector<std::uint8_t> golden = {
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+      0x45, 0x23, 0xC1, 0x7F, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F,
+      0x01, 0x00, 0xA0, 0xFF, 0xFF, 0xFF, 0x7F, 0x80, 0x00, 0x00, 0x00, 0x3F,
+      0x00, 0x00, 0x00, 0x00};
+  ASSERT_EQ(buf.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(std::to_integer<std::uint8_t>(buf[i]), golden[i]) << "byte " << i;
+  }
+
+  pvr::ByteReader r(buf);
+  const img::Image back = pvr::read_image(r);
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(back.width(), 2);
+  ASSERT_EQ(back.height(), 1);
+  EXPECT_EQ(std::memcmp(back.pixels().data(), bits, sizeof bits), 0);
+
+  // An empty image is just its dimensions, and reads back empty.
+  pvr::ByteWriter empty_w;
+  pvr::write_image(empty_w, img::Image(0, 3));
+  const std::vector<std::byte> empty_buf = std::move(empty_w).take();
+  EXPECT_EQ(empty_buf.size(), 8u);
+  pvr::ByteReader empty_r(empty_buf);
+  const img::Image empty_back = pvr::read_image(empty_r);
+  EXPECT_EQ(empty_back.width(), 0);
+  EXPECT_EQ(empty_back.height(), 3);
+  EXPECT_TRUE(empty_r.done());
+}
+
+TEST(Serialize, TruncatedImageThrowsOutOfRange) {
+  pvr::ByteWriter w;
+  pvr::write_image(w, img::Image(3, 2));
+  std::vector<std::byte> buf = std::move(w).take();
+  buf.pop_back();
+  pvr::ByteReader r(buf);
+  EXPECT_THROW((void)pvr::read_image(r), std::out_of_range);
 }
 
 TEST(Serialize, MessageRecordRoundTrips) {
