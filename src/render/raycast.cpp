@@ -2,18 +2,39 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "image/kernels.hpp"
 #include "image/rect.hpp"
+
+#if defined(SLSPVR_KERNELS_X86)
+#include <immintrin.h>
+// AVX2 only, never FMA: a fused multiply-add rounds once where the scalar
+// loop rounds twice, and would change pixels.
+#define SLSPVR_TARGET_AVX2 __attribute__((target("avx2")))
+#endif
 
 namespace slspvr::render {
 
 namespace {
+
+/// The march needs a finite, positive sample spacing: with 0 or NaN the
+/// loop never passes tmax, and first_sample's cast of an infinite or NaN
+/// quotient to an integer is undefined.
+void check_step(const RaycastOptions& options) {
+  if (!(std::isfinite(options.step) && options.step > 0.0f)) {
+    throw std::invalid_argument("RaycastOptions::step must be finite and > 0, got " +
+                                std::to_string(options.step));
+  }
+}
 
 /// Classification lookup table: density in [0,255] -> (intensity, corrected
 /// opacity). Baking the step-size opacity correction into the table keeps
@@ -165,7 +186,10 @@ class CellGrid {
     };
 
     const std::uint8_t* voxels = storage.voxels.data().data();
-    transparent_.assign(static_cast<std::size_t>(cells_[0]) * cells_[1] * cells_[2], 0);
+    // kFlagSlack zero bytes after the last cell: the packet marcher reads
+    // each flag with a 4-byte gather.
+    transparent_.assign(
+        static_cast<std::size_t>(cells_[0]) * cells_[1] * cells_[2] + kFlagSlack, 0);
     std::size_t cell = 0;
     for (int cz = 0; cz < cells_[2]; ++cz) {
       for (int cy = 0; cy < cells_[1]; ++cy) {
@@ -221,6 +245,13 @@ class CellGrid {
     return true;
   }
 
+  // The packet marcher evaluates transparent() on eight bases at once.
+  static constexpr int kFlagSlack = 3;
+  [[nodiscard]] const int* lo() const noexcept { return lo_; }
+  [[nodiscard]] const int* bases() const noexcept { return bases_; }
+  [[nodiscard]] const int* cells() const noexcept { return cells_; }
+  [[nodiscard]] const std::uint8_t* flags() const noexcept { return transparent_.data(); }
+
  private:
   int lo_[3] = {0, 0, 0};     ///< first stencil base per axis (global)
   int bases_[3] = {0, 0, 0};  ///< bases per axis; 0 leaves the grid empty
@@ -258,6 +289,362 @@ img::Rect projected_rect(const OrthoCamera& camera, const vol::Brick& brick) {
   return img::intersect(widened, image);
 }
 
+/// Where a ray leaves a transparent cell. A cell's sample-position box is
+/// [c + 0.5, c + K + 0.5) per axis for first base c. A ray leaves it through
+/// the far face of each axis it moves along; an axis it runs exactly
+/// parallel to never bounds the exit. The faces are pulled 1e-3 voxel
+/// inwards against rounding.
+struct CellExit {
+  float face[3] = {};
+  float inv_dir[3] = {};
+
+  explicit CellExit(const Vec3& dir) noexcept {
+    constexpr float kMargin = 1e-3f;
+    for (int a = 0; a < 3; ++a) {
+      face[a] = 0.5f + (dir[a] > 0.0f ? kCell - kMargin : kMargin);
+      inv_dir[a] = dir[a] != 0.0f ? 1.0f / dir[a] : 0.0f;
+    }
+  }
+};
+
+#if defined(SLSPVR_KERNELS_X86)
+
+/// Rays per packet: 8 adjacent pixels of one rectangle row, one per lane.
+constexpr int kLanes = 8;
+
+/// Whether Packets' int32 lanes hold every value they form: sample indices
+/// (below t_max / step + 2), voxel offsets and cell indices.
+bool packets_fit(const Storage& storage, const OrthoCamera& camera, float dt) {
+  constexpr float kMaxSamples = 1073741824.0f;  // 2^30
+  const std::size_t voxels = storage.voxels.data().size();
+  return img::kern::active_isa() == img::kern::Isa::kAvx2 && camera.t_max() / dt < kMaxSamples &&
+         voxels > 0 && voxels < (std::size_t{1} << 31);
+}
+
+SLSPVR_TARGET_AVX2 inline __m256i as_int(__m256 mask) { return _mm256_castps_si256(mask); }
+SLSPVR_TARGET_AVX2 inline __m256 as_float(__m256i mask) { return _mm256_castsi256_ps(mask); }
+
+/// Bit k set when lane k of `mask` is.
+SLSPVR_TARGET_AVX2 inline int lanes(__m256i mask) { return _mm256_movemask_ps(as_float(mask)); }
+
+/// `bound` with its sign bit flipped, for below().
+SLSPVR_TARGET_AVX2 inline __m256i biased(int bound) {
+  return _mm256_set1_epi32(static_cast<int>(static_cast<unsigned>(bound) ^ 0x80000000u));
+}
+
+/// v < bound per lane, compared as unsigned like the scalar loop's range
+/// tests; `bound` comes from biased().
+SLSPVR_TARGET_AVX2 inline __m256i below(__m256i v, __m256i bound) {
+  return _mm256_cmpgt_epi32(bound, _mm256_xor_si256(v, _mm256_set1_epi32(INT32_MIN)));
+}
+
+/// (int)floor(v) per lane, as locate() computes a stencil base.
+SLSPVR_TARGET_AVX2 inline __m256i floor_int(__m256 v) {
+  return _mm256_cvttps_epi32(_mm256_floor_ps(v));
+}
+
+/// lo * w_lo + hi * w_hi: one of Volume::sample's lerps, in its order.
+SLSPVR_TARGET_AVX2 inline __m256 lerp(__m256 lo, __m256 hi, __m256 w_lo, __m256 w_hi) {
+  return _mm256_add_ps(_mm256_mul_ps(lo, w_lo), _mm256_mul_ps(hi, w_hi));
+}
+
+/// march()'s scalar loop for eight rays at once, one per AVX2 lane. Each
+/// lane does the scalar loop's float operations in its order, under masks,
+/// and AVX2 without FMA rounds each as the scalar code does, so images,
+/// rays and samples are the scalar loop's. The private members mirror its
+/// lambdas and the CellGrid and ClassifyLut lookups.
+class Packets {
+ public:
+  SLSPVR_TARGET_AVX2 Packets(const Storage& storage, const ClassifyLut& lut,
+                             const CellGrid& grid, const Box& box, const CellExit& cell_exit,
+                             const OrthoCamera& camera, const RaycastOptions& options)
+      : storage_(storage), lut_(lut), box_(box), camera_(camera), dir_(camera.view_dir()),
+        dt_(options.step) {
+    const vol::Dims dims = storage.voxels.dims();
+    const int extent[3] = {dims.nx, dims.ny, dims.nz};
+    for (int a = 0; a < 3; ++a) {
+      dir_v_[a] = _mm256_set1_ps(dir_[a]);
+      b0_[a] = _mm256_set1_ps(box.b0[a]);
+      b1_[a] = _mm256_set1_ps(box.b1[a]);
+      face_[a] = _mm256_set1_ps(cell_exit.face[a]);
+      inv_dir_[a] = _mm256_set1_ps(cell_exit.inv_dir[a]);
+      grid_lo_[a] = _mm256_set1_epi32(grid.lo()[a]);
+      grid_bases_[a] = biased(grid.bases()[a]);
+      origin_[a] = _mm256_set1_epi32(storage.origin[a]);
+      interior_[a] = biased(extent[a] - 1);
+    }
+    cells_x_ = _mm256_set1_epi32(grid.cells()[0]);
+    cells_y_ = _mm256_set1_epi32(grid.cells()[1]);
+    flags_ = reinterpret_cast<const int*>(grid.flags());
+    const int row = dims.nx;
+    const int slice = dims.nx * dims.ny;
+    row_ = _mm256_set1_epi32(row);
+    slice_ = _mm256_set1_epi32(slice);
+    gather_end_ = _mm256_set1_epi32(static_cast<int>(
+        static_cast<std::int64_t>(storage.voxels.data().size()) - slice - row - 3));
+    voxels_ = reinterpret_cast<const int*>(storage.voxels.data().data());
+    step_ = _mm256_set1_ps(dt_);
+    min_alpha_ = _mm256_set1_ps(options.min_alpha);
+    early_ = _mm256_set1_ps(options.early_termination);
+  }
+
+  /// Render the rows of `rect`, 8 pixels at a time.
+  SLSPVR_TARGET_AVX2 void march(const img::Rect& rect, img::Image& out,
+                                RenderStats* stats) const {
+    std::int64_t rays = 0;
+    std::int64_t samples = 0;
+    for (int py = rect.y0; py < rect.y1; ++py) {
+      for (int px = rect.x0; px < rect.x1; px += kLanes) {
+        packet(px, py, std::min(kLanes, rect.x1 - px), out, rays, samples);
+      }
+    }
+    if (stats != nullptr) {
+      stats->rays += rays;
+      stats->samples += samples;
+    }
+  }
+
+ private:
+  /// Pixels px .. px + width - 1 of row py. Lanes from `width` on, and rays
+  /// that miss the box, start inactive; a lane stops where its scalar ray
+  /// would break.
+  SLSPVR_TARGET_AVX2 void packet(int px, int py, int width, img::Image& out, std::int64_t& rays,
+                                 std::int64_t& samples) const {
+    // Ray set-up per lane, in the scalar loop's code.
+    alignas(32) float o_lane[3][kLanes] = {};
+    alignas(32) float tmax_lane[kLanes] = {};
+    alignas(32) std::int32_t first_lane[kLanes] = {};
+    alignas(32) std::int32_t live_lane[kLanes] = {};
+    for (int k = 0; k < width; ++k) {
+      const Vec3 o = camera_.ray_origin(px + k, py);
+      float tmin = 0.0f;
+      float tmax = 0.0f;
+      if (!box_.clip(o, dir_, camera_.t_max(), tmin, tmax)) continue;
+      ++rays;
+      o_lane[0][k] = o.x;
+      o_lane[1][k] = o.y;
+      o_lane[2][k] = o.z;
+      tmax_lane[k] = tmax;
+      first_lane[k] = static_cast<std::int32_t>(first_sample(tmin, dt_));
+      live_lane[k] = -1;
+    }
+    __m256i active = _mm256_load_si256(reinterpret_cast<const __m256i*>(live_lane));
+    if (lanes(active) == 0) return;
+    const __m256 o[3] = {_mm256_load_ps(o_lane[0]), _mm256_load_ps(o_lane[1]),
+                         _mm256_load_ps(o_lane[2])};
+    const __m256 tmax = _mm256_load_ps(tmax_lane);
+    const __m256 tmax_dt = _mm256_add_ps(tmax, step_);
+    const __m256 half = _mm256_set1_ps(0.5f);
+    __m256i i = _mm256_load_si256(reinterpret_cast<const __m256i*>(first_lane));
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps()};
+
+    while (lanes(active) != 0) {
+      const __m256 t = _mm256_mul_ps(_mm256_add_ps(_mm256_cvtepi32_ps(i), half), step_);
+      active = _mm256_andnot_si256(as_int(_mm256_cmp_ps(t, tmax_dt, _CMP_GT_OQ)), active);
+      __m256 pos[3];
+      __m256 owns = as_float(active);
+      for (int a = 0; a < 3; ++a) {
+        pos[a] = _mm256_add_ps(o[a], _mm256_mul_ps(dir_v_[a], t));
+        owns = _mm256_and_ps(owns, _mm256_and_ps(_mm256_cmp_ps(pos[a], b0_[a], _CMP_GE_OQ),
+                                                 _mm256_cmp_ps(pos[a], b1_[a], _CMP_LT_OQ)));
+      }
+      // Outside the box: stop past tmax, step on before it.
+      const __m256 past = _mm256_cmp_ps(t, tmax, _CMP_GT_OQ);
+      active = _mm256_andnot_si256(as_int(_mm256_andnot_ps(owns, past)), active);
+      const __m256i work = as_int(owns);
+      if (lanes(work) != 0) {
+        __m256 x[3];
+        __m256i base[3];
+        for (int a = 0; a < 3; ++a) {
+          x[a] = _mm256_sub_ps(pos[a], half);
+          base[a] = floor_int(x[a]);
+        }
+        __m256i cell_lo[3];
+        const __m256i jump = transparent(base, work, cell_lo);
+        if (lanes(jump) != 0) i = last_in_cell(o, tmax, i, cell_lo, jump);
+        const __m256i sample = _mm256_andnot_si256(jump, work);
+        if (lanes(sample) != 0) {
+          samples += std::popcount(static_cast<unsigned>(lanes(sample)));
+          __m256 c[4];
+          classify(density(x, base, sample), sample, c);
+          // Accumulator::add where !(opacity < min_alpha).
+          const __m256 blend =
+              _mm256_and_ps(as_float(sample), _mm256_cmp_ps(c[3], min_alpha_, _CMP_NLT_UQ));
+          const __m256 contribution =
+              _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(1.0f), acc[3]), c[3]);
+          for (int k = 0; k < 3; ++k) {
+            acc[k] = _mm256_blendv_ps(
+                acc[k], _mm256_add_ps(acc[k], _mm256_mul_ps(contribution, c[k])), blend);
+          }
+          acc[3] = _mm256_blendv_ps(acc[3], _mm256_add_ps(acc[3], contribution), blend);
+          const __m256 done = _mm256_and_ps(blend, _mm256_cmp_ps(acc[3], early_, _CMP_GE_OQ));
+          active = _mm256_andnot_si256(as_int(done), active);
+        }
+      }
+      i = _mm256_add_epi32(i, _mm256_set1_epi32(1));
+    }
+
+    alignas(32) float acc_lane[4][kLanes];
+    for (int k = 0; k < 4; ++k) _mm256_store_ps(acc_lane[k], acc[k]);
+    for (int k = 0; k < width; ++k) {
+      const Accumulator lane{acc_lane[0][k], acc_lane[1][k], acc_lane[2][k], acc_lane[3][k]};
+      lane.store(out, px + k, py);
+    }
+  }
+
+  /// CellGrid::transparent for the lanes of `work`: the lanes whose base
+  /// lies in a transparent cell, each cell's first base in `cell_lo`. A
+  /// 4-byte gather reads each flag (the grid keeps slack bytes after it).
+  SLSPVR_TARGET_AVX2 __m256i transparent(const __m256i base[3], __m256i work,
+                                         __m256i cell_lo[3]) const {
+    static_assert(kCell == 8, "cell coordinates are rel >> 3");
+    __m256i cell_of[3];  // rel / kCell per axis
+    __m256i in_grid = work;
+    for (int a = 0; a < 3; ++a) {
+      const __m256i rel = _mm256_sub_epi32(base[a], grid_lo_[a]);
+      in_grid = _mm256_and_si256(in_grid, below(rel, grid_bases_[a]));
+      cell_of[a] = _mm256_srli_epi32(rel, 3);
+      cell_lo[a] = _mm256_add_epi32(grid_lo_[a], _mm256_slli_epi32(cell_of[a], 3));
+    }
+    if (lanes(in_grid) == 0) return in_grid;
+    const __m256i cell = _mm256_add_epi32(
+        _mm256_mullo_epi32(_mm256_add_epi32(_mm256_mullo_epi32(cell_of[2], cells_y_), cell_of[1]),
+                           cells_x_),
+        cell_of[0]);
+    const __m256i flag = _mm256_and_si256(
+        _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), flags_, cell, in_grid, 1),
+        _mm256_set1_epi32(0xFF));
+    return _mm256_andnot_si256(_mm256_cmpeq_epi32(flag, _mm256_setzero_si256()), in_grid);
+  }
+
+  /// last_in_cell for the lanes of `jump`: their new sample index, or i
+  /// where the candidate is not confirmed; the other lanes keep i.
+  SLSPVR_TARGET_AVX2 __m256i last_in_cell(const __m256 o[3], __m256 tmax, __m256i i,
+                                          const __m256i cell_lo[3], __m256i jump) const {
+    const __m256 half = _mm256_set1_ps(0.5f);
+    __m256 t_exit = tmax;
+    for (int a = 0; a < 3; ++a) {
+      if (dir_[a] == 0.0f) continue;
+      const __m256 exit_a = _mm256_mul_ps(
+          _mm256_sub_ps(_mm256_add_ps(_mm256_cvtepi32_ps(cell_lo[a]), face_[a]), o[a]),
+          inv_dir_[a]);
+      t_exit = _mm256_min_ps(exit_a, t_exit);  // std::min(t_exit, exit_a)
+    }
+    const __m256i last = floor_int(_mm256_sub_ps(_mm256_div_ps(t_exit, step_), half));
+    __m256i ok = _mm256_and_si256(jump, _mm256_cmpgt_epi32(last, i));
+    const __m256 t = _mm256_mul_ps(_mm256_add_ps(_mm256_cvtepi32_ps(last), half), step_);
+    ok = _mm256_andnot_si256(as_int(_mm256_cmp_ps(t, tmax, _CMP_GT_OQ)), ok);
+    for (int a = 0; a < 3; ++a) {
+      const __m256i base =
+          floor_int(_mm256_sub_ps(_mm256_add_ps(o[a], _mm256_mul_ps(dir_v_[a], t)), half));
+      const __m256i cell_hi = _mm256_add_epi32(cell_lo[a], _mm256_set1_epi32(kCell));
+      ok = _mm256_andnot_si256(_mm256_cmpgt_epi32(cell_lo[a], base), ok);
+      ok = _mm256_and_si256(ok, _mm256_cmpgt_epi32(cell_hi, base));
+    }
+    return _mm256_blendv_epi8(i, last, ok);
+  }
+
+  /// density() for the lanes of `sample`. An interior stencil whose reads
+  /// stay inside the data gathers two voxels per 4-byte read at p, p + row,
+  /// p + slice and p + slice + row. The last read ends 3 bytes past its
+  /// start, so a lane may gather only where p + slice + row + 3 is inside
+  /// the data; every other lane reads through at_clamped, as stencils on
+  /// the storage's faces do.
+  SLSPVR_TARGET_AVX2 __m256 density(const __m256 x[3], const __m256i base[3],
+                                    __m256i sample) const {
+    __m256i local[3];
+    __m256i fast = sample;
+    for (int a = 0; a < 3; ++a) {
+      local[a] = _mm256_sub_epi32(base[a], origin_[a]);
+      fast = _mm256_and_si256(fast, below(local[a], interior_[a]));
+    }
+    const __m256i p = _mm256_add_epi32(
+        _mm256_add_epi32(_mm256_mullo_epi32(local[2], slice_), _mm256_mullo_epi32(local[1], row_)),
+        local[0]);
+    fast = _mm256_and_si256(fast, _mm256_cmpgt_epi32(gather_end_, p));
+    const __m256i offset[4] = {p, _mm256_add_epi32(p, row_), _mm256_add_epi32(p, slice_),
+                               _mm256_add_epi32(p, _mm256_add_epi32(slice_, row_))};
+    const __m256i byte = _mm256_set1_epi32(0xFF);
+    __m256i vi[8];
+    for (int k = 0; k < 4; ++k) {
+      const __m256i pair =
+          _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), voxels_, offset[k], fast, 1);
+      vi[2 * k] = _mm256_and_si256(pair, byte);
+      vi[2 * k + 1] = _mm256_and_si256(_mm256_srli_epi32(pair, 8), byte);
+    }
+    const int slow = lanes(_mm256_andnot_si256(fast, sample));
+    if (slow != 0) {
+      alignas(32) std::int32_t l[3][kLanes];
+      alignas(32) std::int32_t v[8][kLanes];
+      for (int a = 0; a < 3; ++a) _mm256_store_si256(reinterpret_cast<__m256i*>(l[a]), local[a]);
+      for (int k = 0; k < 8; ++k) _mm256_store_si256(reinterpret_cast<__m256i*>(v[k]), vi[k]);
+      for (int lane = 0; lane < kLanes; ++lane) {
+        if ((slow >> lane & 1) == 0) continue;
+        for (int k = 0; k < 8; ++k) {
+          v[k][lane] = storage_.voxels.at_clamped(l[0][lane] + (k & 1), l[1][lane] + ((k >> 1) & 1),
+                                                  l[2][lane] + (k >> 2));
+        }
+      }
+      for (int k = 0; k < 8; ++k) vi[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(v[k]));
+    }
+    __m256 v[8];
+    for (int k = 0; k < 8; ++k) v[k] = _mm256_cvtepi32_ps(vi[k]);
+    __m256 f[3], g[3];  // the fraction and 1 - fraction per axis
+    for (int a = 0; a < 3; ++a) {
+      f[a] = _mm256_sub_ps(x[a], _mm256_cvtepi32_ps(base[a]));
+      g[a] = _mm256_sub_ps(_mm256_set1_ps(1.0f), f[a]);
+    }
+    const __m256 c00 = lerp(v[0], v[1], g[0], f[0]);
+    const __m256 c10 = lerp(v[2], v[3], g[0], f[0]);
+    const __m256 c01 = lerp(v[4], v[5], g[0], f[0]);
+    const __m256 c11 = lerp(v[6], v[7], g[0], f[0]);
+    const __m256 c0 = lerp(c00, c10, g[1], f[1]);
+    const __m256 c1 = lerp(c01, c11, g[1], f[1]);
+    return lerp(c0, c1, g[2], f[2]);
+  }
+
+  /// ClassifyLut::classify for the lanes of `sample` into c = {r, g, b,
+  /// opacity}, each lane's two entries gathered; other lanes read entry 0.
+  SLSPVR_TARGET_AVX2 void classify(__m256 density, __m256i sample, __m256 c[4]) const {
+    const __m256 last = _mm256_set1_ps(ClassifyLut::kSize - 1);
+    __m256 pos = _mm256_mul_ps(density, _mm256_set1_ps((ClassifyLut::kSize - 1) / 255.0f));
+    pos = _mm256_blendv_ps(pos, _mm256_setzero_ps(),
+                           _mm256_cmp_ps(pos, _mm256_setzero_ps(), _CMP_LE_OQ));
+    pos = _mm256_blendv_ps(pos, last, _mm256_cmp_ps(pos, last, _CMP_GE_OQ));
+    const __m256i i = _mm256_and_si256(_mm256_cvttps_epi32(pos), sample);
+    const __m256 f = _mm256_sub_ps(pos, _mm256_cvtepi32_ps(i));
+    const __m256i j = _mm256_min_epi32(_mm256_add_epi32(i, _mm256_set1_epi32(1)),
+                                       _mm256_set1_epi32(ClassifyLut::kSize - 1));
+    // Entry k's channel sits 4k floats after entry 0's.
+    static_assert(sizeof(vol::Classified) == 4 * sizeof(float));
+    const vol::Classified& first = lut_.entries[0];
+    const float* channel[4] = {&first.r, &first.g, &first.b, &first.opacity};
+    const __m256i i4 = _mm256_slli_epi32(i, 2);
+    const __m256i j4 = _mm256_slli_epi32(j, 2);
+    for (int n = 0; n < 4; ++n) {
+      const __m256 a = _mm256_i32gather_ps(channel[n], i4, 4);
+      const __m256 b = _mm256_i32gather_ps(channel[n], j4, 4);
+      c[n] = _mm256_add_ps(a, _mm256_mul_ps(f, _mm256_sub_ps(b, a)));
+    }
+  }
+
+  const Storage& storage_;
+  const ClassifyLut& lut_;
+  const Box& box_;
+  const OrthoCamera& camera_;
+  Vec3 dir_;
+  float dt_;
+  __m256 step_, min_alpha_, early_;
+  __m256 dir_v_[3], b0_[3], b1_[3], face_[3], inv_dir_[3];
+  __m256i grid_lo_[3], grid_bases_[3], cells_x_, cells_y_;
+  __m256i origin_[3], interior_[3], row_, slice_, gather_end_;
+  const int* flags_;   ///< CellGrid flags, read 4 bytes at a time
+  const int* voxels_;  ///< the storage's voxels, read 4 bytes at a time
+};
+
+#endif  // SLSPVR_KERNELS_X86
+
 /// The ray-march kernel behind render_brick and render_ghost_brick. It takes
 /// the samples render_brick_reference takes, minus two kinds that cannot
 /// change a pixel: those of rays outside the brick's projected rectangle
@@ -267,6 +654,7 @@ img::Rect projected_rect(const OrthoCamera& camera, const vol::Brick& brick) {
 void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoCamera& camera,
            const vol::Brick& brick, img::Image& out, const RaycastOptions& options,
            RenderStats* stats) {
+  check_step(options);
   const ClassifyLut lut(tf, options.step);
   const CellGrid grid(storage, brick, lut, options.min_alpha);
   const Box box(brick);
@@ -326,17 +714,7 @@ void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoC
     return c0 * (1 - fz) + c1 * fz;
   };
 
-  // A cell's sample-position box is [c + 0.5, c + K + 0.5) per axis for
-  // first base c. A ray leaves it through the far face of each
-  // axis it moves along; an axis it runs exactly parallel to never bounds
-  // the exit. The faces are pulled 1e-3 voxel inwards against rounding.
-  constexpr float kMargin = 1e-3f;
-  float face[3] = {};
-  float inv_dir[3] = {};
-  for (int a = 0; a < 3; ++a) {
-    face[a] = 0.5f + (dir[a] > 0.0f ? kCell - kMargin : kMargin);
-    inv_dir[a] = dir[a] != 0.0f ? 1.0f / dir[a] : 0.0f;
-  }
+  const CellExit cell_exit(dir);
 
   // The last sample index a jump from sample i across the transparent cell
   // at `cell_lo` may pass over, or i when there is none. The candidate, the
@@ -350,7 +728,8 @@ void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoC
     float t_exit = tmax;
     for (int a = 0; a < 3; ++a) {
       if (dir[a] == 0.0f) continue;
-      t_exit = std::min(t_exit, (static_cast<float>(cell_lo[a]) + face[a] - o[a]) * inv_dir[a]);
+      t_exit = std::min(t_exit, (static_cast<float>(cell_lo[a]) + cell_exit.face[a] - o[a]) *
+                                    cell_exit.inv_dir[a]);
     }
     const auto last = static_cast<std::int64_t>(std::floor(t_exit / dt - 0.5f));
     if (last <= i) return i;
@@ -366,6 +745,12 @@ void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoC
   };
 
   const img::Rect rect = projected_rect(camera, brick);
+#if defined(SLSPVR_KERNELS_X86)
+  if (packets_fit(storage, camera, dt)) {
+    Packets(storage, lut, grid, box, cell_exit, camera, options).march(rect, out, stats);
+    return;
+  }
+#endif
   for (int py = rect.y0; py < rect.y1; ++py) {
     for (int px = rect.x0; px < rect.x1; ++px) {
       const Vec3 o = camera.ray_origin(px, py);
@@ -422,6 +807,7 @@ void render_brick_reference(const vol::Volume& volume, const vol::TransferFuncti
                             const OrthoCamera& camera, const vol::Brick& brick,
                             img::Image& out, const RaycastOptions& options,
                             RenderStats* stats) {
+  check_step(options);
   const ClassifyLut lut(tf, options.step);
   const Box box(brick);
   const Vec3 dir = camera.view_dir();

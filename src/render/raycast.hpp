@@ -14,7 +14,9 @@
 namespace slspvr::render {
 
 struct RaycastOptions {
-  float step = 1.0f;                    ///< sample spacing in voxel units
+  /// Sample spacing in voxel units. Must be finite and > 0: the renderers
+  /// throw std::invalid_argument otherwise.
+  float step = 1.0f;
   float early_termination = 0.995f;     ///< stop once accumulated opacity passes this
   float min_alpha = 1.0f / 512.0f;      ///< samples below this opacity are skipped
 };
@@ -34,7 +36,10 @@ struct RenderStats {
 /// Empty-space skipping: rays walk only the brick's projected screen
 /// rectangle and jump across 8^3-voxel cells in which every sample would
 /// classify below `min_alpha`. Only samples render_brick_reference takes and
-/// then discards are skipped, so images are byte-identical to it.
+/// then discards are skipped, so images are byte-identical to it. Where
+/// img::kern::active_isa() is AVX2, eight adjacent rays of a row march at
+/// once, one per SIMD lane, each with the scalar march's arithmetic: images,
+/// `rays` and `samples` do not depend on the ISA.
 void render_brick(const vol::Volume& volume, const vol::TransferFunction& tf,
                   const OrthoCamera& camera, const vol::Brick& brick, img::Image& out,
                   const RaycastOptions& options = {}, RenderStats* stats = nullptr);

@@ -1,6 +1,9 @@
-// Empty-space skipping changes no byte: render_brick and render_ghost_brick
-// must reproduce render_brick_reference (the plain marcher) exactly, with
-// the same ray count, across datasets, partitions, views and options.
+// Empty-space skipping and ray packets change no byte: render_brick and
+// render_ghost_brick must reproduce render_brick_reference (the plain
+// marcher) exactly, with the same ray count, across datasets, partitions,
+// views and options, under both marches: the scalar loop and, where the CPU
+// has AVX2, the eight-ray packets. The two marches also count the same
+// samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "image/kernels.hpp"
 #include "render/raycast.hpp"
 #include "volume/datasets.hpp"
 #include "volume/ghost.hpp"
@@ -45,31 +49,60 @@ struct Samples {
   std::int64_t kernel = 0;
 };
 
-/// Render every brick with the reference, with render_brick over the shared
-/// volume and with render_ghost_brick from the brick's ghost extraction;
-/// all three images must be byte-identical and count the same rays.
+/// One march's renders of a brick: render_brick over the shared volume and
+/// render_ghost_brick from the brick's ghost extraction.
+struct MarchRun {
+  img::Image shared;
+  img::Image local;
+  render::RenderStats s_shared;
+  render::RenderStats s_local;
+};
+
+MarchRun run_march(bool scalar, const vol::Volume& volume, const vol::GhostBrick& ghost,
+                   const vol::TransferFunction& tf, const render::OrthoCamera& camera,
+                   const vol::Brick& brick, const render::RaycastOptions& options) {
+  MarchRun run{img::Image(camera.width(), camera.height()),
+               img::Image(camera.width(), camera.height()), {}, {}};
+  img::kern::force_scalar_kernels(scalar);
+  render::render_brick(volume, tf, camera, brick, run.shared, options, &run.s_shared);
+  render::render_ghost_brick(ghost, tf, camera, run.local, options, &run.s_local);
+  img::kern::clear_kernel_override();
+  return run;
+}
+
+/// Render every brick with the reference, and with render_brick over the
+/// shared volume and render_ghost_brick from the brick's ghost extraction
+/// under both marches; all five images must be byte-identical and count the
+/// same rays, and the marches the same samples.
 Samples expect_identical(const vol::Volume& volume, const vol::TransferFunction& tf,
                          const render::OrthoCamera& camera,
                          const std::vector<vol::Brick>& bricks,
                          const render::RaycastOptions& options) {
   Samples total;
   for (const vol::Brick& brick : bricks) {
-    const int w = camera.width(), h = camera.height();
-    img::Image want(w, h), shared(w, h), local(w, h);
-    render::RenderStats s_want, s_shared, s_local;
+    img::Image want(camera.width(), camera.height());
+    render::RenderStats s_want;
     render::render_brick_reference(volume, tf, camera, brick, want, options, &s_want);
-    render::render_brick(volume, tf, camera, brick, shared, options, &s_shared);
-    render::render_ghost_brick(vol::GhostBrick::extract(volume, brick, 1), tf, camera, local,
-                               options, &s_local);
-    EXPECT_TRUE(same_bytes(shared, want)) << "render_brick, " << describe(brick, camera, options);
-    EXPECT_TRUE(same_bytes(local, want))
-        << "render_ghost_brick, " << describe(brick, camera, options);
-    EXPECT_EQ(s_shared.rays, s_want.rays) << describe(brick, camera, options);
-    EXPECT_EQ(s_local.rays, s_want.rays) << describe(brick, camera, options);
-    EXPECT_LE(s_shared.samples, s_want.samples) << describe(brick, camera, options);
-    EXPECT_LE(s_local.samples, s_want.samples) << describe(brick, camera, options);
+    const vol::GhostBrick ghost = vol::GhostBrick::extract(volume, brick, 1);
+    const MarchRun scalar = run_march(true, volume, ghost, tf, camera, brick, options);
+    const MarchRun packets = run_march(false, volume, ghost, tf, camera, brick, options);
+    const std::string where = describe(brick, camera, options);
+    for (const auto& [name, run] : {std::pair{"scalar", &scalar}, std::pair{"packet", &packets}}) {
+      EXPECT_TRUE(same_bytes(run->shared, want)) << name << " render_brick, " << where;
+      EXPECT_TRUE(same_bytes(run->local, want)) << name << " render_ghost_brick, " << where;
+      EXPECT_EQ(run->s_shared.rays, s_want.rays) << name << ", " << where;
+      EXPECT_EQ(run->s_local.rays, s_want.rays) << name << ", " << where;
+      EXPECT_LE(run->s_shared.samples, s_want.samples) << name << ", " << where;
+      EXPECT_LE(run->s_local.samples, s_want.samples) << name << ", " << where;
+    }
+    EXPECT_TRUE(same_bytes(packets.shared, scalar.shared)) << where;
+    EXPECT_TRUE(same_bytes(packets.local, scalar.local)) << where;
+    EXPECT_EQ(packets.s_shared.rays, scalar.s_shared.rays) << where;
+    EXPECT_EQ(packets.s_local.rays, scalar.s_local.rays) << where;
+    EXPECT_EQ(packets.s_shared.samples, scalar.s_shared.samples) << where;
+    EXPECT_EQ(packets.s_local.samples, scalar.s_local.samples) << where;
     total.reference += s_want.samples;
-    total.kernel += s_shared.samples;
+    total.kernel += scalar.s_shared.samples;
   }
   return total;
 }
@@ -222,6 +255,82 @@ TEST(RaycastIdentity, RandomBricksViewsAndThresholds) {
     if (pick(rng) == 0) options.early_termination = 2.0f;
     const render::OrthoCamera camera(volume.dims(), 36, 30, angle(rng), angle(rng));
     (void)expect_identical(volume, tf, camera, {vol::Brick{x0, y0, z0, x1, y1, z1}}, options);
+  }
+}
+
+TEST(RaycastIdentity, PacketTailsAtEveryWidth) {
+  // Rectangles 1 to 17 px wide give every count of tail lanes in the
+  // eight-ray packets. At zoom 2 the volume covers the whole viewport, so
+  // the whole-volume brick's rectangle spans each image row.
+  const vol::Dataset ds = vol::make_dataset(vol::DatasetKind::Head, 0.12);
+  render::RaycastOptions all;
+  all.min_alpha = 0.0f;
+  for (int width = 1; width <= 17; ++width) {
+    for (const View& view : {View{0, 0}, View{18, 24}, View{-30, 45}}) {
+      const render::OrthoCamera camera(ds.volume.dims(), width, 5, view.rot_x, view.rot_y, 2.0f);
+      (void)expect_identical(ds.volume, ds.tf, camera, {vol::Brick::whole(ds.volume.dims())}, {});
+      (void)expect_identical(ds.volume, ds.tf, camera,
+                             vol::kd_partition(ds.volume.dims(), 2).bricks, all);
+    }
+  }
+}
+
+TEST(RaycastIdentity, FarCornerBricksReadTheLastVoxel) {
+  // A stencil based at (nx - 2, ny - 2, nz - 2) is interior, and its last
+  // voxel is the volume's last byte: a packet's 4-byte read there would
+  // pass the end of the data, so such lanes read through at_clamped. The
+  // ghost bricks' storage ends at the brick, so there every far-corner
+  // stencil does. With min_alpha = 0 and no early termination, every
+  // stencil a ray meets is read.
+  std::mt19937 rng(0xC0DEu);
+  std::uniform_int_distribution<int> byte(0, 255);
+  vol::Volume volume(vol::Dims{21, 13, 11});
+  for (std::uint8_t& v : volume.data()) v = static_cast<std::uint8_t>(byte(rng));
+  const vol::TransferFunction tf = vol::ramp_tf(0.0f, 255.0f, 0.2f);
+  render::RaycastOptions options;
+  options.min_alpha = 0.0f;
+  options.early_termination = 2.0f;
+  const vol::Dims d = volume.dims();
+  const std::vector<vol::Brick> bricks = {
+      vol::Brick{d.nx - 1, d.ny - 1, d.nz - 1, d.nx, d.ny, d.nz},
+      vol::Brick{d.nx - 3, d.ny - 3, d.nz - 3, d.nx, d.ny, d.nz},
+      vol::Brick{d.nx / 2, d.ny / 2, d.nz / 2, d.nx, d.ny, d.nz}};
+  for (const View& view : kViews) {
+    const render::OrthoCamera camera(d, 48, 48, view.rot_x, view.rot_y, 1.5f);
+    (void)expect_identical(volume, tf, camera, bricks, options);
+  }
+}
+
+TEST(RaycastIdentity, PacketsMixRaysThatMissAndHit) {
+  // Small bricks seen obliquely: their projections are hexagons, so the
+  // corners of their rectangles hold rays that miss the box, in the same
+  // packets as rays that hit it.
+  vol::Volume volume(vol::Dims{24, 24, 24});
+  std::fill(volume.data().begin(), volume.data().end(), std::uint8_t{200});
+  const vol::TransferFunction tf = vol::ramp_tf(100.0f, 220.0f, 0.6f);
+  const std::vector<vol::Brick> bricks = {vol::Brick{9, 10, 11, 14, 13, 15},
+                                          vol::Brick{3, 3, 3, 5, 9, 4},
+                                          vol::Brick{20, 0, 7, 24, 2, 24}};
+  for (const View& view : {View{45, 45}, View{30, -60}, View{-20, 135}, View{60, 10}}) {
+    const render::OrthoCamera camera(volume.dims(), 64, 64, view.rot_x, view.rot_y, 2.0f);
+    (void)expect_identical(volume, tf, camera, bricks, {});
+    // Every ray that meets the opaque brick colours its pixel, so blank
+    // pixels inside the covered pixels' bounding box are misses.
+    img::Image image(64, 64);
+    render::render_brick(volume, tf, camera, bricks[0], image);
+    int covered = 0, x0 = 64, y0 = 64, x1 = -1, y1 = -1;
+    for (int y = 0; y < 64; ++y) {
+      for (int x = 0; x < 64; ++x) {
+        if (image.at(x, y).a == 0.0f) continue;
+        ++covered;
+        x0 = std::min(x0, x);
+        y0 = std::min(y0, y);
+        x1 = std::max(x1, x);
+        y1 = std::max(y1, y);
+      }
+    }
+    ASSERT_GT(covered, 0);
+    EXPECT_LT(covered, (x1 - x0 + 1) * (y1 - y0 + 1));
   }
 }
 

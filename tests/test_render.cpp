@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
 #include "core/order.hpp"
 #include "core/reference.hpp"
@@ -151,6 +153,30 @@ TEST(Raycast, BlankVolumeRendersBlank) {
   img::Image image(24, 24);
   render::render_full(empty, tf, camera, image);
   EXPECT_EQ(img::count_non_blank(image, image.bounds()), 0);
+}
+
+TEST(Raycast, StepMustBeFiniteAndPositive) {
+  // A step of 0 or NaN would never reach the ray's end, and casting an
+  // infinite or NaN sample index is undefined: every marcher rejects it.
+  const vol::Dataset ds = vol::make_dataset(vol::DatasetKind::Cube, 0.1);
+  const render::OrthoCamera camera(ds.volume.dims(), 8, 8);
+  const vol::Brick brick = vol::Brick::whole(ds.volume.dims());
+  const vol::GhostBrick ghost = vol::GhostBrick::extract(ds.volume, brick, 1);
+  for (const float step : {0.0f, -1.0f, std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity()}) {
+    render::RaycastOptions options;
+    options.step = step;
+    img::Image out(8, 8);
+    EXPECT_THROW(render::render_brick(ds.volume, ds.tf, camera, brick, out, options),
+                 std::invalid_argument)
+        << step;
+    EXPECT_THROW(render::render_ghost_brick(ghost, ds.tf, camera, out, options),
+                 std::invalid_argument)
+        << step;
+    EXPECT_THROW(render::render_brick_reference(ds.volume, ds.tf, camera, brick, out, options),
+                 std::invalid_argument)
+        << step;
+  }
 }
 
 TEST(Raycast, SolidVolumeCoversItsProjection) {

@@ -49,6 +49,45 @@ TEST(RenderCli, ParsePositiveIntIsStrict) {
   EXPECT_THROW((void)tools::parse_positive_int("99999999999", "--procs"), tools::ParseError);
 }
 
+TEST(RenderCli, RenderFlagValuesAreStrict) {
+  // slspvr-render reads --ranks, --sessions and --image with
+  // parse_positive_int and --scale, --rotx and --roty with
+  // parse_finite_float; a failure exits 2. atoi/atof used to render
+  // "384px" at 384, "abc" at 0, and "1e40" as an infinite angle.
+  struct Case {
+    const char* token;
+    bool is_int;    ///< parse_positive_int accepts it
+    bool is_float;  ///< parse_finite_float accepts it
+    double value;
+  };
+  const Case cases[] = {
+      {"384", true, true, 384.0},    {"1", true, true, 1.0},       {"0.5", false, true, 0.5},
+      {"-30", false, true, -30.0},   {"1e-3", false, true, 1e-3},  {"0", false, true, 0.0},
+      {".25", false, true, 0.25},    {"+24", false, true, 24.0},   {"384px", false, false, 0},
+      {"abc", false, false, 0},      {"", false, false, 0},        {" 4", false, false, 0},
+      {"4 ", false, false, 0},       {"1e40", false, false, 0},    {"-1e40", false, false, 0},
+      {"1e400", false, false, 0},    {"inf", false, false, 0},     {"-inf", false, false, 0},
+      {"nan", false, false, 0},      {"0.5.1", false, false, 0},   {"1,5", false, false, 0},
+      {"99999999999", false, true, 99999999999.0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("token '") + c.token + "'");
+    for (const char* flag : {"--ranks", "--sessions", "--image"}) {
+      if (c.is_int) {
+        EXPECT_EQ(tools::parse_positive_int(c.token, flag), static_cast<int>(c.value));
+      } else {
+        EXPECT_THROW((void)tools::parse_positive_int(c.token, flag), tools::ParseError);
+      }
+    }
+    for (const char* flag : {"--scale", "--rotx", "--roty"}) {
+      if (c.is_float) {
+        EXPECT_EQ(tools::parse_finite_float(c.token, flag), c.value);
+      } else {
+        EXPECT_THROW((void)tools::parse_finite_float(c.token, flag), tools::ParseError);
+      }
+    }
+  }
+}
+
 TEST(RenderCli, ParseWorkersPerRankIsStrict) {
   EXPECT_EQ(tools::parse_workers_per_rank("1"), 1);
   EXPECT_EQ(tools::parse_workers_per_rank("4"), 4);

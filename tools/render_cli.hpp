@@ -1,4 +1,6 @@
-// Strict parsing/validation for slspvr_render's multi-process flags.
+// Strict parsing/validation for slspvr_render's multi-process flags and its
+// numeric render flags (--ranks, --sessions, --image: parse_positive_int;
+// --scale, --rotx, --roty: parse_finite_float).
 //
 // Modeled on bench/bench_common.hpp: the pure helpers throw ParseError
 // (never exit), so the test suite covers the flag grammar and the
@@ -42,6 +44,10 @@
 //    must be < --procs.
 #pragma once
 
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -78,6 +84,26 @@ struct ParseError : std::runtime_error {
   }
   if (value <= 0) {
     throw ParseError(what + ": '" + token + "' must be positive");
+  }
+  return value;
+}
+
+/// Strict finite-float parse: the whole token is one number as strtod reads
+/// it (no leading space, no suffix), and its value is a finite float, so
+/// "1e40", "inf" and "nan" are rejected. The value comes back as the double
+/// strtod read: --scale keeps the decimal value it always had.
+[[nodiscard]] inline double parse_finite_float(const std::string& token,
+                                               const std::string& what) {
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  double value = 0.0;
+  const bool number = !token.empty() && std::isspace(static_cast<unsigned char>(token[0])) == 0;
+  if (number) value = std::strtod(begin, &end);
+  if (!number || end != begin + token.size()) {
+    throw ParseError(what + ": '" + token + "' is not a number");
+  }
+  if (!std::isfinite(value) || std::fabs(value) > std::numeric_limits<float>::max()) {
+    throw ParseError(what + ": '" + token + "' is not a finite float");
   }
   return value;
 }

@@ -167,12 +167,12 @@ Args parse(int argc, char** argv) {
     } else if (a == "--method") {
       args.method = next();
     } else if (a == "--ranks") {
-      args.ranks = std::atoi(next());
+      args.ranks = slspvr::tools::parse_positive_int(next(), "--ranks");
       args.ranks_given = true;
     } else if (a == "--workers-per-rank") {
       args.workers_per_rank = slspvr::tools::parse_workers_per_rank(next());
     } else if (a == "--sessions") {
-      args.sessions = std::atoi(next());
+      args.sessions = slspvr::tools::parse_positive_int(next(), "--sessions");
       if (args.sessions < 2) {
         std::cerr << "--sessions expects >= 2 concurrent sessions\n";
         usage(2);
@@ -180,13 +180,13 @@ Args parse(int argc, char** argv) {
     } else if (slspvr::tools::try_parse_proc_flag(args.procs, a, next)) {
       // consumed by the multi-process flag family
     } else if (a == "--image") {
-      args.image = std::atoi(next());
+      args.image = slspvr::tools::parse_positive_int(next(), "--image");
     } else if (a == "--scale") {
-      args.scale = std::atof(next());
+      args.scale = slspvr::tools::parse_finite_float(next(), "--scale");
     } else if (a == "--rotx") {
-      args.rot_x = static_cast<float>(std::atof(next()));
+      args.rot_x = static_cast<float>(slspvr::tools::parse_finite_float(next(), "--rotx"));
     } else if (a == "--roty") {
-      args.rot_y = static_cast<float>(std::atof(next()));
+      args.rot_y = static_cast<float>(slspvr::tools::parse_finite_float(next(), "--roty"));
     } else if (a == "--renderer") {
       args.renderer = next();
     } else if (a == "--shear-warp-preview") {
@@ -263,10 +263,6 @@ Args parse(int argc, char** argv) {
       usage(2);
     }
   }
-  if (args.ranks < 1) {
-    std::cerr << "--ranks must be >= 1 (got " << args.ranks << ")\n";
-    usage(2);
-  }
   // Multi-process contradiction rules (ParseError -> exit 2 in main).
   args.fault_flags = !args.faults.empty() || args.faults.retry.enabled() ||
                      args.faults.recv_timeout.count() > 0;
@@ -286,10 +282,6 @@ Args parse(int argc, char** argv) {
   }
   if (args.sessions > 0 && args.volume_path) {
     throw slspvr::tools::ParseError("--sessions supports built-in datasets only");
-  }
-  if (args.image < 1) {
-    std::cerr << "--image must be >= 1 (got " << args.image << ")\n";
-    usage(2);
   }
   if (!(args.scale > 0.0)) {
     std::cerr << "--scale must be > 0 (got " << args.scale << ")\n";
