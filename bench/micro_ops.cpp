@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the primitive operations behind the
 // cost model's constants: the over operator (T_o), bounding-rectangle scans
 // (T_bound), run-length encoding (T_encode), compressed-domain compositing,
-// buffer packing and the message-passing runtime itself.
+// buffer packing, the message-passing runtime itself, and one brick render
+// prepared per call or once.
 #include <benchmark/benchmark.h>
 
 #include "core/bsbrc.hpp"
@@ -14,11 +15,16 @@
 #include "mp/runtime.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/synthetic.hpp"
+#include "render/raycast.hpp"
+#include "volume/datasets.hpp"
+#include "volume/partition.hpp"
 
 namespace img = slspvr::img;
 namespace core = slspvr::core;
 namespace mp = slspvr::mp;
 namespace pvr = slspvr::pvr;
+namespace render = slspvr::render;
+namespace vol = slspvr::vol;
 
 namespace {
 
@@ -168,6 +174,44 @@ void BM_PackReusedArena(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * rect.area() * 16);
 }
 BENCHMARK(BM_PackReusedArena);
+
+// A procs-orbit brick: engine_low at scale 1.0 (generated once for both
+// benchmarks), the first kd brick for P = 4, the first ring view at 384^2.
+struct RingBrick {
+  static const vol::Dataset& dataset() {
+    static const vol::Dataset engine_low = vol::make_dataset(vol::DatasetKind::EngineLow, 1.0);
+    return engine_low;
+  }
+  const vol::Dataset& ds = dataset();
+  vol::Brick brick = vol::kd_partition(ds.volume.dims(), 4).bricks[0];
+  render::OrthoCamera camera{ds.volume.dims(), 384, 384, 18.0f, 24.0f};
+  img::Image out{384, 384};
+};
+
+// render_brick prepares the brick (classification table and transparent-cell
+// grid) on every call; a resident procs worker or FrameService session
+// prepares it once and keeps the renderer. Compare against
+// BM_RenderBrickKept.
+void BM_RenderBrickFresh(benchmark::State& state) {
+  RingBrick r;
+  for (auto _ : state) {
+    render::render_brick(r.ds.volume, r.ds.tf, r.camera, r.brick, r.out);
+    benchmark::DoNotOptimize(r.out.pixels().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RenderBrickFresh)->Unit(benchmark::kMillisecond);
+
+void BM_RenderBrickKept(benchmark::State& state) {
+  RingBrick r;
+  const render::BrickRenderer renderer(r.ds.volume, r.ds.tf, r.brick);
+  for (auto _ : state) {
+    renderer.render(r.camera, r.out);
+    benchmark::DoNotOptimize(r.out.pixels().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RenderBrickKept)->Unit(benchmark::kMillisecond);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

@@ -31,7 +31,8 @@ namespace slspvr::pvr {
 Experiment::Experiment(const ExperimentConfig& config)
     : Experiment(vol::make_dataset(config.dataset, config.volume_scale), config) {}
 
-Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& config)
+Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& config,
+                       render::KeptRenderers* renderers)
     : config_(config) {
   if (config.ranks <= 0) throw std::invalid_argument("Experiment: ranks must be positive");
 
@@ -73,10 +74,13 @@ Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& conf
     return;
   }
   subimages_.reserve(bricks_.size());
-  for (const vol::Brick& brick : bricks_) {
+  for (std::size_t i = 0; i < bricks_.size(); ++i) {
+    const vol::Brick& brick = bricks_[i];
     img::Image sub(config.image_size, config.image_size);
     if (config.use_splatting) {
       render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
+    } else if (renderers != nullptr) {
+      renderers->render(i, dataset.volume, dataset.tf, brick, camera, sub, options);
     } else {
       render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
     }

@@ -25,6 +25,10 @@
 #include "volume/datasets.hpp"
 #include "volume/partition.hpp"
 
+namespace slspvr::render {
+class KeptRenderers;  // render/raycast.hpp
+}  // namespace slspvr::render
+
 namespace slspvr::pvr {
 
 struct ProcOptions;  // pvr/proc_runner.hpp — multi-process (socket) backend
@@ -118,8 +122,12 @@ class Experiment {
 
   /// Run the pipeline over a user-supplied volume + transfer function
   /// (config.dataset / volume_scale are ignored; everything else applies).
-  /// This is the bring-your-own-data entry point used by tools/.
-  Experiment(const vol::Dataset& dataset, const ExperimentConfig& config);
+  /// This is the bring-your-own-data entry point used by tools/. A non-null
+  /// `renderers` renders brick i through its slot i, so an owner that keeps
+  /// them across views of `dataset` (a FrameService session) prepares each
+  /// brick once; the ghost-brick and splatting paths do not use them.
+  Experiment(const vol::Dataset& dataset, const ExperimentConfig& config,
+             render::KeptRenderers* renderers = nullptr);
 
   [[nodiscard]] const ExperimentConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::vector<img::Image>& subimages() const noexcept {

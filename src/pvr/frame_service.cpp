@@ -190,8 +190,8 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
 
   // Rendered-subimage cache: rebuilt only when the camera moves (open-loop
   // traffic with a fixed camera pays the render cost once per session). The
-  // volume is generated once per session; one frame in flight per session
-  // gives this executor sole use of it.
+  // volume is generated and its bricks prepared once per session; one frame
+  // in flight per session gives this executor sole use of them.
   if (session.cached == nullptr || session.cached_rot_x != pending.request.rot_x_deg ||
       session.cached_rot_y != pending.request.rot_y_deg) {
     if (!session.dataset) {
@@ -205,7 +205,7 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
     config.cost_model = session.config.cost_model;
     config.engine = session.config.engine;
     session.cached.reset();  // the old view's subimages are dead: free them first
-    session.cached = std::make_unique<Experiment>(*session.dataset, config);
+    session.cached = std::make_unique<Experiment>(*session.dataset, config, &session.renderers);
     session.cached_rot_x = pending.request.rot_x_deg;
     session.cached_rot_y = pending.request.rot_y_deg;
   }

@@ -46,6 +46,7 @@
 #include "core/worker_pool.hpp"
 #include "mp/fault.hpp"
 #include "pvr/experiment.hpp"
+#include "render/raycast.hpp"
 
 namespace slspvr::pvr {
 
@@ -146,6 +147,9 @@ class FrameService {
     /// The session's volume, generated on its first frame. It does not
     /// depend on the camera, so a camera move re-renders from it.
     std::optional<vol::Dataset> dataset;
+    /// One prepared renderer per brick of `dataset`, which they reference:
+    /// declared after it, so they are destroyed first.
+    render::KeptRenderers renderers;
     /// Rendered subimages cache: rebuilt only when the camera moves.
     std::unique_ptr<Experiment> cached;
     float cached_rot_x = 0.0f, cached_rot_y = 0.0f;

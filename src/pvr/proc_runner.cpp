@@ -349,17 +349,21 @@ FrameGeometry derive_frame_geometry(const vol::Dataset& dataset, const Experimen
 }
 
 /// Render one rank's brick for one frame's view (the sort-last rendering
-/// phase, restricted to the caller's own brick).
+/// phase, restricted to the caller's own brick). A resident worker passes
+/// its kept renderer, so it prepares its brick once; the parent's recovery
+/// re-renders prepare per call.
 img::Image render_one_brick(const vol::Dataset& dataset, const ExperimentConfig& cfg,
-                            const vol::Brick& brick) {
+                            const vol::Brick& brick, render::KeptRenderers* kept = nullptr) {
   render::OrthoCamera camera(dataset.volume.dims(), cfg.image_size, cfg.image_size,
                              cfg.rot_x_deg, cfg.rot_y_deg);
   img::Image sub(cfg.image_size, cfg.image_size);
+  render::RaycastOptions options;
+  options.step = cfg.step;
   if (cfg.use_splatting) {
     render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
+  } else if (kept != nullptr) {
+    kept->render(0, dataset.volume, dataset.tf, brick, camera, sub, options);
   } else {
-    render::RaycastOptions options;
-    options.step = cfg.step;
     render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
   }
   return sub;
@@ -419,6 +423,11 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
 
     const int ranks = base.ranks;
     const core::FoldCompositor folded_method(method);
+    // This rank's brick, prepared on the first frame it renders and again
+    // only if the brick or the step changes. kd and slab bricks depend only
+    // on the dims, balanced kd bricks on the volume: an incarnation
+    // prepares once.
+    render::KeptRenderers renderer;
 
     for (;;) {
       const std::optional<mp::FrameRoster> roster = sock.await_frame_start(opts.frame_deadline);
@@ -427,7 +436,7 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
       const ExperimentConfig cfg = sequence_frame_config(base, opts, frame);
       const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
       img::Image local =
-          render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(rank)]);
+          render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(rank)], &renderer);
 
       if (!roster->demoted.empty()) {
         // Demoted roster: no full-strength plan exists anymore. Every

@@ -26,13 +26,19 @@ namespace slspvr::render {
 
 namespace {
 
-/// The march needs a finite, positive sample spacing: with 0 or NaN the
-/// loop never passes tmax, and first_sample's cast of an infinite or NaN
-/// quotient to an integer is undefined.
-void check_step(const RaycastOptions& options) {
+/// What every marcher needs. A finite, positive sample spacing: with 0 or
+/// NaN the loop never passes tmax, and first_sample's cast of an infinite
+/// or NaN quotient to an integer is undefined. Voxels to read when the
+/// brick is not empty: with none, the interior test's extent - 1 wraps and
+/// Volume::at_clamped clamps to index -1.
+void check_render(const vol::Volume& voxels, const vol::Brick& brick,
+                  const RaycastOptions& options) {
   if (!(std::isfinite(options.step) && options.step > 0.0f)) {
     throw std::invalid_argument("RaycastOptions::step must be finite and > 0, got " +
                                 std::to_string(options.step));
+  }
+  if (!brick.empty() && voxels.data().empty()) {
+    throw std::invalid_argument("cannot render a non-empty brick from a volume with no voxels");
   }
 }
 
@@ -519,7 +525,8 @@ class Packets {
   }
 
   /// last_in_cell for the lanes of `jump`: their new sample index, or i
-  /// where the candidate is not confirmed; the other lanes keep i.
+  /// where the candidate is not confirmed; the other lanes keep i. The
+  /// confirmations are the scalar march's (see its last_in_cell).
   SLSPVR_TARGET_AVX2 __m256i last_in_cell(const __m256 o[3], __m256 tmax, __m256i i,
                                           const __m256i cell_lo[3], __m256i jump) const {
     const __m256 half = _mm256_set1_ps(0.5f);
@@ -645,19 +652,75 @@ class Packets {
 
 #endif  // SLSPVR_KERNELS_X86
 
-/// The ray-march kernel behind render_brick and render_ghost_brick. It takes
-/// the samples render_brick_reference takes, minus two kinds that cannot
-/// change a pixel: those of rays outside the brick's projected rectangle
-/// (the rays miss the brick) and those in transparent cells (they classify
-/// below min_alpha, which the reference discards). Everything it does sample
-/// uses the reference's arithmetic, so images are byte-identical.
-void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoCamera& camera,
-           const vol::Brick& brick, img::Image& out, const RaycastOptions& options,
-           RenderStats* stats) {
-  check_step(options);
-  const ClassifyLut lut(tf, options.step);
-  const CellGrid grid(storage, brick, lut, options.min_alpha);
-  const Box box(brick);
+/// A ghost brick's voxels: its wire header carries the storage's global
+/// origin.
+Storage storage_of(const vol::GhostBrick& ghost) {
+  const vol::GhostBrick::WireHeader header = ghost.wire_header();
+  return Storage{ghost.data(), {header.ox, header.oy, header.oz}};
+}
+
+/// `storage`, once check_render accepts it.
+const Storage& checked(const Storage& storage, const vol::Brick& brick,
+                       const RaycastOptions& options) {
+  check_render(storage.voxels, brick, options);
+  return storage;
+}
+
+}  // namespace
+
+/// What a brick's renders share: everything but the camera.
+struct BrickRenderer::Prepared {
+  Prepared(const Storage& voxels, const vol::TransferFunction& tf, const vol::Brick& owned,
+           const RaycastOptions& marching)
+      : storage(checked(voxels, owned, marching)),
+        brick(owned),
+        options(marching),
+        lut(tf, marching.step),
+        grid(storage, owned, lut, marching.min_alpha),
+        box(owned) {}
+
+  Storage storage;
+  vol::Brick brick;
+  RaycastOptions options;
+  ClassifyLut lut;
+  CellGrid grid;
+  Box box;
+};
+
+BrickRenderer::BrickRenderer(const vol::Volume& volume, const vol::TransferFunction& tf,
+                             const vol::Brick& brick, const RaycastOptions& options)
+    : prepared_(std::make_unique<const Prepared>(Storage{volume, {0, 0, 0}}, tf, brick, options)) {
+}
+
+BrickRenderer::BrickRenderer(const vol::GhostBrick& ghost, const vol::TransferFunction& tf,
+                             const RaycastOptions& options)
+    : prepared_(std::make_unique<const Prepared>(storage_of(ghost), tf, ghost.brick(), options)) {
+}
+
+BrickRenderer::~BrickRenderer() = default;
+BrickRenderer::BrickRenderer(BrickRenderer&&) noexcept = default;
+BrickRenderer& BrickRenderer::operator=(BrickRenderer&&) noexcept = default;
+
+bool BrickRenderer::prepared_for(const vol::Volume& volume, const vol::Brick& brick,
+                                 const RaycastOptions& options) const noexcept {
+  return &prepared_->storage.voxels == &volume && prepared_->brick == brick &&
+         prepared_->options == options;
+}
+
+/// The ray march. It takes the samples render_brick_reference takes, minus
+/// two kinds that cannot change a pixel: those of rays outside the brick's
+/// projected rectangle (the rays miss the brick) and those in transparent
+/// cells (they classify below min_alpha, which the reference discards).
+/// Everything it does sample uses the reference's arithmetic, so images
+/// are byte-identical.
+void BrickRenderer::render(const OrthoCamera& camera, img::Image& out,
+                           RenderStats* stats) const {
+  const Storage& storage = prepared_->storage;
+  const vol::Brick& brick = prepared_->brick;
+  const RaycastOptions& options = prepared_->options;
+  const ClassifyLut& lut = prepared_->lut;
+  const CellGrid& grid = prepared_->grid;
+  const Box& box = prepared_->box;
   const Vec3 dir = camera.view_dir();
   const float dt = options.step;
 
@@ -723,6 +786,17 @@ void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoC
   // among the skipped samples) and its stencil base still in the cell.
   // Per axis, positions and bases are monotone in i, so every sample in
   // between lies in the cell as well.
+  //
+  // Far along a ray (t ~ 10^4) rounding can put the candidate's base just
+  // past the cell, in a visible cell that owns the sample:
+  // RaycastIdentity.JumpsFarAlongTheRayAreConfirmed fails without either
+  // half of the base check. No case can make the t check change an image,
+  // a ray or a sample count. Where a march stepping one sample at a time
+  // would stop among the skipped samples (past tmax + dt, or past tmax and
+  // out of the box, which it entered before i), it would stop at the
+  // sample after the candidate too, since t and the position per axis are
+  // monotone in i; and it samples none of them, as they lie in the cell.
+  // The t check keeps jumps within the ray's extent.
   const auto last_in_cell = [&](const Vec3& o, float tmax, std::int64_t i,
                                 const int cell_lo[3]) -> std::int64_t {
     float t_exit = tmax;
@@ -786,28 +860,36 @@ void march(const Storage& storage, const vol::TransferFunction& tf, const OrthoC
   }
 }
 
-}  // namespace
+void KeptRenderers::render(std::size_t slot, const vol::Volume& volume,
+                           const vol::TransferFunction& tf, const vol::Brick& brick,
+                           const OrthoCamera& camera, img::Image& out,
+                           const RaycastOptions& options, RenderStats* stats) {
+  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  std::optional<BrickRenderer>& kept = slots_[slot];
+  if (!kept || !kept->prepared_for(volume, brick, options)) {
+    kept.emplace(volume, tf, brick, options);
+    ++prepares_;
+  }
+  kept->render(camera, out, stats);
+}
 
 void render_brick(const vol::Volume& volume, const vol::TransferFunction& tf,
                   const OrthoCamera& camera, const vol::Brick& brick, img::Image& out,
                   const RaycastOptions& options, RenderStats* stats) {
-  march(Storage{volume, {0, 0, 0}}, tf, camera, brick, out, options, stats);
+  BrickRenderer(volume, tf, brick, options).render(camera, out, stats);
 }
 
 void render_ghost_brick(const vol::GhostBrick& ghost, const vol::TransferFunction& tf,
                         const OrthoCamera& camera, img::Image& out,
                         const RaycastOptions& options, RenderStats* stats) {
-  // The wire header carries the storage's global origin.
-  const vol::GhostBrick::WireHeader header = ghost.wire_header();
-  march(Storage{ghost.data(), {header.ox, header.oy, header.oz}}, tf, camera, ghost.brick(),
-        out, options, stats);
+  BrickRenderer(ghost, tf, options).render(camera, out, stats);
 }
 
 void render_brick_reference(const vol::Volume& volume, const vol::TransferFunction& tf,
                             const OrthoCamera& camera, const vol::Brick& brick,
                             img::Image& out, const RaycastOptions& options,
                             RenderStats* stats) {
-  check_step(options);
+  check_render(volume, brick, options);
   const ClassifyLut lut(tf, options.step);
   const Box box(brick);
   const Vec3 dir = camera.view_dir();

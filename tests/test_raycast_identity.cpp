@@ -3,7 +3,8 @@
 // marcher) exactly, with the same ray count, across datasets, partitions,
 // views and options, under both marches: the scalar loop and, where the CPU
 // has AVX2, the eight-ray packets. The two marches also count the same
-// samples.
+// samples. A BrickRenderer kept across views, as the resident owners keep
+// them, renders what a fresh render_brick does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -332,6 +333,111 @@ TEST(RaycastIdentity, PacketsMixRaysThatMissAndHit) {
     ASSERT_GT(covered, 0);
     EXPECT_LT(covered, (x1 - x0 + 1) * (y1 - y0 + 1));
   }
+}
+
+TEST(RaycastIdentity, JumpsFarAlongTheRayAreConfirmed) {
+  // A 20000 x 6 x 5 volume, an 8-voxel visible slab every 64 voxels, seen
+  // within 3 degrees of its long axis from both ends: rays meet it at
+  // t ~ 10^4, where float rounding can put a jump's last sample a hair past
+  // its transparent cell's far face (rays along +x) or near face (along -x),
+  // in the visible cell beyond. last_in_cell's base check rejects such a
+  // jump, so that sample is taken; a march without either half of the check
+  // skips it and counts one sample fewer than the other march.
+  vol::Volume volume(vol::Dims{20000, 6, 5});
+  const vol::Dims d = volume.dims();
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) volume.at(x, y, z) = x % 64 < 8 ? 200 : 0;
+    }
+  }
+  const vol::TransferFunction tf = vol::ramp_tf(100.0f, 220.0f, 0.6f);
+  const std::vector<vol::Brick> whole = {vol::Brick::whole(d)};
+  std::mt19937 rng(0x7A11u);
+  std::uniform_real_distribution<float> off_axis(-3.0f, 3.0f);
+  for (int k = 0; k < 128; ++k) {
+    const float rot_x = off_axis(rng);
+    const float rot_y = (k % 2 == 0 ? 90.0f : -90.0f) + off_axis(rng);
+    const render::OrthoCamera camera(d, 8, 8, rot_x, rot_y, 2000.0f);
+    (void)expect_identical(volume, tf, camera, whole, {});
+  }
+}
+
+TEST(RaycastIdentity, KeptRenderersMatchEveryViewAndMarch) {
+  // A resident owner keeps one renderer per brick and renders it view after
+  // view, and the march can switch between calls: every render must be the
+  // reference's, and count the samples of a fresh render_brick under the
+  // same march.
+  const vol::Dataset ds = vol::make_dataset(vol::DatasetKind::EngineLow, 0.2);
+  const int size = 40;
+  std::vector<vol::Brick> bricks = vol::kd_partition(ds.volume.dims(), 4).bricks;
+  for (const vol::Brick& slab : vol::slab_partition(ds.volume.dims(), 3, /*axis=*/0)) {
+    bricks.push_back(slab);
+  }
+  for (const vol::Brick& brick : bricks) {
+    const vol::GhostBrick ghost = vol::GhostBrick::extract(ds.volume, brick, 1);
+    const render::BrickRenderer shared(ds.volume, ds.tf, brick);
+    const render::BrickRenderer local(ghost, ds.tf);
+    for (const View& view : kViews) {
+      const render::OrthoCamera camera(ds.volume.dims(), size, size, view.rot_x, view.rot_y);
+      const std::string where = describe(brick, camera, {});
+      img::Image want(size, size);
+      render::RenderStats s_want;
+      render::render_brick_reference(ds.volume, ds.tf, camera, brick, want, {}, &s_want);
+      for (const bool scalar : {true, false}) {
+        img::Image fresh(size, size), kept_shared(size, size), kept_local(size, size);
+        render::RenderStats s_fresh, s_shared, s_local;
+        img::kern::force_scalar_kernels(scalar);
+        render::render_brick(ds.volume, ds.tf, camera, brick, fresh, {}, &s_fresh);
+        shared.render(camera, kept_shared, &s_shared);
+        local.render(camera, kept_local, &s_local);
+        img::kern::clear_kernel_override();
+        const char* march = scalar ? "scalar" : "packet";
+        EXPECT_TRUE(same_bytes(kept_shared, want)) << march << " shared, " << where;
+        EXPECT_TRUE(same_bytes(kept_local, want)) << march << " ghost, " << where;
+        EXPECT_EQ(s_shared.rays, s_want.rays) << march << ", " << where;
+        EXPECT_EQ(s_local.rays, s_want.rays) << march << ", " << where;
+        EXPECT_EQ(s_shared.samples, s_fresh.samples) << march << ", " << where;
+        EXPECT_EQ(s_local.samples, s_fresh.samples) << march << ", " << where;
+      }
+    }
+  }
+}
+
+TEST(RaycastIdentity, KeptRenderersPrepareAnewOnlyForANewBrickOrStep) {
+  // The owners' rule: a slot keeps its renderer while the volume, the brick
+  // and the options stay, and prepares anew when one of them changes.
+  // Every frame equals a fresh render_brick's.
+  const vol::Dataset ds = vol::make_dataset(vol::DatasetKind::Head, 0.2);
+  const vol::Dataset same_dims = vol::make_dataset(vol::DatasetKind::Head, 0.2);
+  const std::vector<vol::Brick> bricks = vol::kd_partition(ds.volume.dims(), 4).bricks;
+  const int size = 40;
+  render::KeptRenderers kept;
+  const auto expect_fresh = [&](std::size_t slot, const vol::Volume& volume,
+                                const vol::Brick& brick, const View& view, float step,
+                                std::int64_t prepares) {
+    render::RaycastOptions options;
+    options.step = step;
+    const render::OrthoCamera camera(volume.dims(), size, size, view.rot_x, view.rot_y);
+    img::Image got(size, size), want(size, size);
+    render::RenderStats s_got, s_want;
+    kept.render(slot, volume, ds.tf, brick, camera, got, options, &s_got);
+    render::render_brick(volume, ds.tf, camera, brick, want, options, &s_want);
+    const std::string where =
+        "slot " + std::to_string(slot) + ", " + describe(brick, camera, options);
+    EXPECT_EQ(kept.prepares(), prepares) << where;
+    EXPECT_TRUE(same_bytes(got, want)) << where;
+    EXPECT_EQ(s_got.rays, s_want.rays) << where;
+    EXPECT_EQ(s_got.samples, s_want.samples) << where;
+  };
+  expect_fresh(0, ds.volume, bricks[0], {18, 24}, 1.0f, 1);    // the first render prepares
+  expect_fresh(0, ds.volume, bricks[0], {18, 54}, 1.0f, 1);    // a new view does not
+  expect_fresh(0, ds.volume, bricks[0], {-30, 45}, 1.0f, 1);
+  expect_fresh(0, ds.volume, bricks[1], {-30, 45}, 1.0f, 2);   // a new brick does
+  expect_fresh(0, ds.volume, bricks[1], {18, 24}, 0.7f, 3);    // so does a new step
+  expect_fresh(0, ds.volume, bricks[1], {18, 54}, 0.7f, 3);
+  expect_fresh(1, ds.volume, bricks[1], {18, 54}, 0.7f, 4);    // a slot keeps its own
+  expect_fresh(0, ds.volume, bricks[1], {63, 117}, 0.7f, 4);
+  expect_fresh(0, same_dims.volume, bricks[1], {63, 117}, 0.7f, 5);  // and a new volume
 }
 
 class RaycastIdentityServiceSize : public ::testing::TestWithParam<vol::DatasetKind> {};

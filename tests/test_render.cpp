@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/order.hpp"
 #include "core/reference.hpp"
@@ -176,6 +177,46 @@ TEST(Raycast, StepMustBeFiniteAndPositive) {
     EXPECT_THROW(render::render_brick_reference(ds.volume, ds.tf, camera, brick, out, options),
                  std::invalid_argument)
         << step;
+    EXPECT_THROW(render::BrickRenderer(ds.volume, ds.tf, brick, options), std::invalid_argument)
+        << step;
+    EXPECT_THROW(render::BrickRenderer(ghost, ds.tf, options), std::invalid_argument) << step;
+  }
+}
+
+TEST(Raycast, NonEmptyBrickNeedsVoxels) {
+  // With no voxels, the marches' interior test wrapped and read through the
+  // empty vector's null data, and Volume::at_clamped clamped to index -1:
+  // every entry point rejects a non-empty brick there. An empty brick stays
+  // legal and renders nothing.
+  const vol::TransferFunction tf = vol::ramp_tf(10, 20, 0.9f);
+  const render::OrthoCamera camera(vol::Dims{4, 4, 4}, 8, 8, 18.0f, 24.0f);
+  const vol::Brick brick{0, 0, 0, 4, 4, 4};
+  for (const vol::Dims dims : {vol::Dims{}, vol::Dims{0, 5, 5}}) {
+    const vol::Volume volume(dims);
+    const vol::GhostBrick ghost = vol::GhostBrick::from_wire(
+        vol::GhostBrick::WireHeader{0, 0, 0, 4, 4, 4, 1, -1, -1, -1, dims.nx, dims.ny, dims.nz},
+        {});
+    const std::string where = std::to_string(dims.nx) + "x" + std::to_string(dims.ny) + "x" +
+                              std::to_string(dims.nz);
+    img::Image out(8, 8);
+    EXPECT_THROW(render::render_brick(volume, tf, camera, brick, out), std::invalid_argument)
+        << where;
+    EXPECT_THROW(render::render_ghost_brick(ghost, tf, camera, out), std::invalid_argument)
+        << where;
+    EXPECT_THROW(render::render_brick_reference(volume, tf, camera, brick, out),
+                 std::invalid_argument)
+        << where;
+    EXPECT_THROW(render::BrickRenderer(volume, tf, brick), std::invalid_argument) << where;
+    EXPECT_THROW(render::BrickRenderer(ghost, tf), std::invalid_argument) << where;
+
+    const vol::Brick empty{0, 0, 0, 0, 4, 4};
+    render::RenderStats stats;
+    render::render_brick(volume, tf, camera, empty, out, {}, &stats);
+    render::render_brick_reference(volume, tf, camera, empty, out, {}, &stats);
+    EXPECT_EQ(stats.samples, 0) << where;
+    for (std::int64_t i = 0; i < out.pixel_count(); ++i) {
+      EXPECT_EQ(out.at_index(i).a, 0.0f) << where;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // the tool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -50,28 +51,59 @@ TEST(RenderCli, ParsePositiveIntIsStrict) {
 }
 
 TEST(RenderCli, RenderFlagValuesAreStrict) {
-  // slspvr-render reads --ranks, --sessions and --image with
-  // parse_positive_int and --scale, --rotx and --roty with
-  // parse_finite_float; a failure exits 2. atoi/atof used to render
-  // "384px" at 384, "abc" at 0, and "1e40" as an infinite angle.
+  // slspvr-render reads --ranks, --sessions, --image, --retry-max,
+  // --retry-base-ms and --recv-timeout, and slspvr-check reads --max-p, with
+  // parse_positive_int; slspvr-render reads --scale, --rotx and --roty with
+  // parse_finite_float and --fault-seed with parse_u64. A failure exits 2.
+  // atoi/atof/strtoull used to render "384px" at 384, "abc" at 0, "1e40" as
+  // an infinite angle, run --recv-timeout "50ms" as 50 and seed "abc" as 0.
   struct Case {
     const char* token;
     bool is_int;    ///< parse_positive_int accepts it
     bool is_float;  ///< parse_finite_float accepts it
     double value;
+    bool is_u64;    ///< parse_u64 accepts it
+    std::uint64_t u64;
   };
   const Case cases[] = {
-      {"384", true, true, 384.0},    {"1", true, true, 1.0},       {"0.5", false, true, 0.5},
-      {"-30", false, true, -30.0},   {"1e-3", false, true, 1e-3},  {"0", false, true, 0.0},
-      {".25", false, true, 0.25},    {"+24", false, true, 24.0},   {"384px", false, false, 0},
-      {"abc", false, false, 0},      {"", false, false, 0},        {" 4", false, false, 0},
-      {"4 ", false, false, 0},       {"1e40", false, false, 0},    {"-1e40", false, false, 0},
-      {"1e400", false, false, 0},    {"inf", false, false, 0},     {"-inf", false, false, 0},
-      {"nan", false, false, 0},      {"0.5.1", false, false, 0},   {"1,5", false, false, 0},
-      {"99999999999", false, true, 99999999999.0}};
+      {"384", true, true, 384.0, true, 384},
+      {"1", true, true, 1.0, true, 1},
+      {"0.5", false, true, 0.5, false, 0},
+      {"-30", false, true, -30.0, false, 0},
+      {"1e-3", false, true, 1e-3, false, 0},
+      {"0", false, true, 0.0, true, 0},
+      {".25", false, true, 0.25, false, 0},
+      {"+24", false, true, 24.0, false, 0},
+      {"384px", false, false, 0, false, 0},
+      {"abc", false, false, 0, false, 0},
+      {"", false, false, 0, false, 0},
+      {" 4", false, false, 0, false, 0},
+      {"4 ", false, false, 0, false, 0},
+      {"1e40", false, false, 0, false, 0},
+      {"-1e40", false, false, 0, false, 0},
+      {"1e400", false, false, 0, false, 0},
+      {"inf", false, false, 0, false, 0},
+      {"-inf", false, false, 0, false, 0},
+      {"nan", false, false, 0, false, 0},
+      {"0.5.1", false, false, 0, false, 0},
+      {"1,5", false, false, 0, false, 0},
+      {"99999999999", false, true, 99999999999.0, true, 99999999999},
+      {"50ms", false, false, 0, false, 0},
+      {"3x", false, false, 0, false, 0},
+      {"8abc", false, false, 0, false, 0},
+      {"-1", false, true, -1.0, false, 0},
+      // Seeds keep strtoull's base-0 forms: 0x hexadecimal (the CI chaos
+      // soak's) and 0-prefixed octal.
+      {"0x51", false, true, 81.0, true, 0x51},
+      {"0xBEEF", false, true, 48879.0, true, 0xBEEF},
+      {"0x", false, false, 0, false, 0},
+      {"010", true, true, 10.0, true, 8},
+      {"18446744073709551615", false, true, 18446744073709551615.0, true, UINT64_MAX},
+      {"18446744073709551616", false, true, 18446744073709551616.0, false, 0}};
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string("token '") + c.token + "'");
-    for (const char* flag : {"--ranks", "--sessions", "--image"}) {
+    for (const char* flag : {"--ranks", "--sessions", "--image", "--retry-max", "--retry-base-ms",
+                             "--recv-timeout", "--max-p"}) {
       if (c.is_int) {
         EXPECT_EQ(tools::parse_positive_int(c.token, flag), static_cast<int>(c.value));
       } else {
@@ -84,6 +116,11 @@ TEST(RenderCli, RenderFlagValuesAreStrict) {
       } else {
         EXPECT_THROW((void)tools::parse_finite_float(c.token, flag), tools::ParseError);
       }
+    }
+    if (c.is_u64) {
+      EXPECT_EQ(tools::parse_u64(c.token, "--fault-seed"), c.u64);
+    } else {
+      EXPECT_THROW((void)tools::parse_u64(c.token, "--fault-seed"), tools::ParseError);
     }
   }
 }

@@ -1,6 +1,7 @@
 // Strict parsing/validation for slspvr_render's multi-process flags and its
-// numeric render flags (--ranks, --sessions, --image: parse_positive_int;
-// --scale, --rotx, --roty: parse_finite_float).
+// numeric flags (--ranks, --sessions, --image, --retry-max, --retry-base-ms,
+// --recv-timeout: parse_positive_int; --scale, --rotx, --roty:
+// parse_finite_float; --fault-seed: parse_u64), and slspvr-check's --max-p.
 //
 // Modeled on bench/bench_common.hpp: the pure helpers throw ParseError
 // (never exit), so the test suite covers the flag grammar and the
@@ -45,7 +46,9 @@
 #pragma once
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -106,6 +109,24 @@ struct ParseError : std::runtime_error {
     throw ParseError(what + ": '" + token + "' is not a finite float");
   }
   return value;
+}
+
+/// Strict unsigned 64-bit parse: the whole token is one number as strtoull
+/// reads it in base 0 (decimal, 0x hexadecimal or 0-prefixed octal), with no
+/// space, sign or suffix, and in range.
+[[nodiscard]] inline std::uint64_t parse_u64(const std::string& token, const std::string& what) {
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  unsigned long long value = 0;
+  const bool number = !token.empty() && token[0] >= '0' && token[0] <= '9';
+  if (number) {
+    errno = 0;
+    value = std::strtoull(begin, &end, 0);
+  }
+  if (!number || end != begin + token.size() || errno == ERANGE) {
+    throw ParseError(what + ": '" + token + "' is not an unsigned 64-bit integer");
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 /// Strict --workers-per-rank parse: a whole-token positive integer (same

@@ -30,6 +30,7 @@
 #include "core/fold.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/plan_compositor.hpp"
+#include "render_cli.hpp"
 
 namespace {
 
@@ -72,7 +73,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--method" && i + 1 < argc) {
       only = argv[++i];
     } else if (arg == "--max-p" && i + 1 < argc) {
-      max_p = std::atoi(argv[++i]);
+      try {
+        max_p = slspvr::tools::parse_positive_int(argv[++i], "--max-p");
+      } catch (const slspvr::tools::ParseError& e) {
+        std::cerr << "slspvr-check: " << e.what() << "\n";
+        return 2;
+      }
     } else if (arg == "--repair-matrix") {
       repair_matrix = true;
     } else if (arg == "--no-eq9") {

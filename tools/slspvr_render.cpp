@@ -234,28 +234,15 @@ Args parse(int argc, char** argv) {
                                     slspvr::mp::kAnyStageRule,
                                     std::chrono::milliseconds(ms), /*max_count=*/1});
     } else if (a == "--fault-seed") {
-      args.faults.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 0));
+      args.faults.seed = slspvr::tools::parse_u64(next(), "--fault-seed");
     } else if (a == "--retry-max") {
-      const int n = std::atoi(next());
-      if (n < 1) {
-        std::cerr << "--retry-max expects a positive attempt count\n";
-        usage(2);
-      }
-      args.faults.retry.max_attempts = n;
+      args.faults.retry.max_attempts = slspvr::tools::parse_positive_int(next(), "--retry-max");
     } else if (a == "--retry-base-ms") {
-      const int ms = std::atoi(next());
-      if (ms < 1) {
-        std::cerr << "--retry-base-ms expects a positive millisecond count\n";
-        usage(2);
-      }
-      args.faults.retry.base_delay = std::chrono::milliseconds(ms);
+      args.faults.retry.base_delay =
+          std::chrono::milliseconds(slspvr::tools::parse_positive_int(next(), "--retry-base-ms"));
     } else if (a == "--recv-timeout") {
-      const int ms = std::atoi(next());
-      if (ms <= 0) {
-        std::cerr << "--recv-timeout expects a positive millisecond count\n";
-        usage(2);
-      }
-      args.faults.recv_timeout = std::chrono::milliseconds(ms);
+      args.faults.recv_timeout =
+          std::chrono::milliseconds(slspvr::tools::parse_positive_int(next(), "--recv-timeout"));
     } else if (a == "--help" || a == "-h") {
       usage(0);
     } else {
