@@ -3,10 +3,10 @@
 //
 // slspvr-check proves the *compositing schedules* deadlock-free; this layer
 // does the same for the *runtime protocols underneath them* — supervisor
-// hub, worker lifecycle, heartbeat watchdog, frame parking, failure-history
-// replay, mailbox backpressure and the envelope NAK/retransmit channel —
-// by exhaustively exploring every interleaving of a small code-mirroring
-// model (protocol.hpp) and checking safety invariants plus
+// hub, worker lifecycle, heartbeat watchdog, frame parking, frame barriers,
+// resurrection, mailbox backpressure and the envelope NAK/retransmit
+// channel — by exhaustively exploring every interleaving of a small
+// code-mirroring model (protocol.hpp) and checking safety invariants plus
 // liveness-via-progress on each reachable state.
 //
 // The checker is generic over a Model type providing:

@@ -36,442 +36,16 @@ const char* mutant_name(Mutant m) {
     case Mutant::kNone: return "none";
     case Mutant::kNoParking: return "no-parking";
     case Mutant::kSkipBacklogReplay: return "skip-backlog-replay";
-    case Mutant::kSkipFailureReplay: return "skip-failure-replay";
     case Mutant::kSkipPoisonBroadcast: return "skip-poison-broadcast";
     case Mutant::kDoublePromotion: return "double-promotion";
     case Mutant::kNoWatchdog: return "no-watchdog";
     case Mutant::kAckBeforeDeposit: return "ack-before-deposit";
     case Mutant::kRenumberRetransmit: return "renumber-retransmit";
     case Mutant::kDropGenerationCheck: return "drop-generation-check";
-    case Mutant::kRespawnNoBacklogReplay: return "respawn-no-backlog-replay";
     case Mutant::kResurrectTwice: return "resurrect-twice";
     case Mutant::kRespawnSameGeneration: return "respawn-same-generation";
   }
   return "?";
-}
-
-// ---------------------------------------------------------------------------
-// SupervisionModel
-// ---------------------------------------------------------------------------
-
-SupervisionModel::SupervisionModel(Scenario scenario) : scenario_(std::move(scenario)) {}
-
-bool SupervisionModel::may_crash(int w) const {
-  return scenario_.crash_rank == kMaxWorkers || scenario_.crash_rank == w;
-}
-
-SupervisionModel::State SupervisionModel::initial() const {
-  State s;
-  s.crash_budget = static_cast<std::int8_t>(scenario_.crash_rank >= 0 ? 1 : 0);
-  return s;
-}
-
-void SupervisionModel::enumerate(const State& s, std::vector<Action>& out) const {
-  out.clear();
-  const int W = scenario_.workers;
-  const auto push = [&](std::int16_t actor, std::int16_t kind, int a, int b,
-                        std::uint32_t touches) {
-    Action act;
-    act.actor = actor;
-    act.kind = kind;
-    act.a = static_cast<std::int16_t>(a);
-    act.b = static_cast<std::int16_t>(b);
-    act.touches = touches;
-    out.push_back(act);
-  };
-
-  for (int w = 0; w < W; ++w) {
-    const Worker& wk = s.worker[w];
-    const bool up_space =
-        static_cast<int>(s.up[w].size()) < scenario_.uplink_capacity;
-    if (wk.stalled) continue;  // SIGSTOPped: no thread of it runs
-
-    switch (wk.phase) {
-      case Phase::kStart:
-        if (up_space) push(static_cast<std::int16_t>(w), aConnect, w, -1, kWrk(w) | kUp(w));
-        break;
-      case Phase::kRun: {
-        if (scenario_.mutant == Mutant::kDoublePromotion && !wk.dup_hello_sent &&
-            wk.pc == 0 && up_space) {
-          push(static_cast<std::int16_t>(w), aDupHello, w, -1, kWrk(w) | kUp(w));
-        }
-        if (wk.pc < ops()) {
-          if (wk.pc % 2 == 0) {
-            if (up_space) {
-              const int id = frame_id(wk.pc / 2, w);
-              push(static_cast<std::int16_t>(w), aSend, w, id, kWrk(w) | kUp(w));
-            }
-          } else {
-            const int src = (w - 1 + W) % W;
-            const int id = frame_id(wk.pc / 2, src);
-            const bool present =
-                std::find(wk.mailbox.begin(), wk.mailbox.end(),
-                          static_cast<std::int8_t>(id)) != wk.mailbox.end();
-            if (present) {
-              push(static_cast<std::int16_t>(w), aRecv, w, id,
-                   kWrk(w) | kMbox(w));
-            } else if (wk.poisoned && up_space) {
-              push(static_cast<std::int16_t>(w), aAbort, w, -1,
-                   kWrk(w) | kUp(w) | kMbox(w));
-            }
-          }
-        } else if (up_space) {
-          push(static_cast<std::int16_t>(w), aGoodbye, w, -1, kWrk(w) | kUp(w));
-        }
-        if (w == scenario_.stall_rank) {
-          push(static_cast<std::int16_t>(w), aStall, w, -1, kWrk(w));
-        }
-        break;
-      }
-      case Phase::kWaitShutdown:
-        if (wk.shutdown_seen) push(static_cast<std::int16_t>(w), aExit, w, -1, kWrk(w));
-        break;
-      case Phase::kExited:
-      case Phase::kCrashed:
-        break;
-    }
-
-    if ((wk.phase == Phase::kStart || wk.phase == Phase::kRun) && may_crash(w) &&
-        s.crash_budget > 0) {
-      push(static_cast<std::int16_t>(w), aCrash, w, -1, kWrk(w) | kCrashBudget);
-    }
-
-    // Reader thread: pump one frame off the down link into the mailbox
-    // (respecting capacity backpressure; poison lifts the bound, exactly
-    // like Mailbox::deposit).
-    if ((wk.phase == Phase::kRun || wk.phase == Phase::kWaitShutdown) &&
-        !s.down[w].empty()) {
-      const Msg& head = s.down[w].front();
-      bool enabled = true;
-      if (head.kind == Msg::Kind::kData && scenario_.mailbox_capacity > 0 &&
-          static_cast<int>(wk.mailbox.size()) >= scenario_.mailbox_capacity &&
-          !wk.poisoned) {
-        enabled = false;  // deposit blocks while the mailbox is full
-      }
-      if (enabled) {
-        push(kReaderActor(w), aPump, w, static_cast<int>(head.kind),
-             kWrk(w) | kDown(w) | kMbox(w));
-      }
-    }
-  }
-
-  // Supervisor poll loop (one sequential actor).
-  for (int w = 0; w < W; ++w) {
-    if (!s.sup[w].link_closed && !s.up[w].empty()) {
-      push(kSupActor, aSupPump, w, static_cast<int>(s.up[w].front().kind),
-           kUp(w) | kSup | kDownAll);
-    }
-    if (s.worker[w].phase == Phase::kCrashed && !s.sup[w].failed && !s.sup[w].done) {
-      push(kSupActor, aSupReap, w, -1, kWrk(w) | kUp(w) | kSup | kDownAll);
-    }
-    if (s.worker[w].stalled && !s.sup[w].failed && !s.sup[w].done &&
-        scenario_.mutant != Mutant::kNoWatchdog) {
-      push(kSupActor, aWatchdog, w, -1, kWrk(w) | kUp(w) | kSup | kDownAll);
-    }
-  }
-  if (!s.shutdown_sent) {
-    bool settled = true;
-    for (int w = 0; w < W; ++w) {
-      if (!s.sup[w].done && !s.sup[w].failed) settled = false;
-    }
-    if (settled) push(kSupActor, aSupShutdown, -1, -1, kSup | kDownAll);
-  }
-}
-
-SupervisionModel::State SupervisionModel::apply(const State& s, const Action& act) const {
-  State n = s;
-  const int W = scenario_.workers;
-  const int w = act.a;
-
-  // fail(): record + close the link + broadcast kPeerFailed to every open
-  // promoted peer — mirrors supervisor.cpp fail()/mark_failed() (which skips
-  // invalid links; that gap is what the failure-history replay closes).
-  const auto fail = [&](State& st, int r) {
-    if (st.sup[r].failed || st.sup[r].done) return;
-    st.sup[r].failed = true;
-    st.failures.push_back(static_cast<std::int8_t>(r));
-    st.sup[r].link_closed = true;
-    st.sup[r].parked.clear();
-    st.up[r].clear();    // unread socket buffer lost with the link
-    st.down[r].clear();  // outbound queue cleared
-    if (scenario_.mutant == Mutant::kSkipPoisonBroadcast) return;
-    for (int v = 0; v < W; ++v) {
-      if (v == r || !st.sup[v].promoted || st.sup[v].failed || st.sup[v].link_closed) {
-        continue;
-      }
-      st.down[v].push_back({Msg::Kind::kPeerFailed, static_cast<std::int8_t>(r), -1});
-    }
-  };
-
-  switch (act.kind) {
-    case aConnect:
-      n.worker[w].phase = Phase::kRun;
-      n.up[w].push_back({Msg::Kind::kHello, static_cast<std::int8_t>(w), -1});
-      break;
-    case aDupHello:
-      n.worker[w].dup_hello_sent = true;
-      n.up[w].push_back({Msg::Kind::kHello, static_cast<std::int8_t>(w), -1});
-      break;
-    case aSend: {
-      const int dest = (w + 1) % W;
-      n.up[w].push_back({Msg::Kind::kData, static_cast<std::int8_t>(dest),
-                         static_cast<std::int8_t>(act.b)});
-      ++n.worker[w].pc;
-      break;
-    }
-    case aRecv: {
-      auto& mbox = n.worker[w].mailbox;
-      const auto it = std::find(mbox.begin(), mbox.end(), static_cast<std::int8_t>(act.b));
-      if (it != mbox.end()) mbox.erase(it);
-      ++n.worker[w].pc;
-      break;
-    }
-    case aAbort:
-      n.worker[w].aborted = true;
-      n.worker[w].phase = Phase::kWaitShutdown;
-      n.up[w].push_back({Msg::Kind::kGoodbye, static_cast<std::int8_t>(w), -1});
-      break;
-    case aGoodbye:
-      n.worker[w].phase = Phase::kWaitShutdown;
-      n.up[w].push_back({Msg::Kind::kGoodbye, static_cast<std::int8_t>(w), -1});
-      break;
-    case aExit:
-      n.worker[w].phase = Phase::kExited;
-      break;
-    case aCrash:
-      n.worker[w].phase = Phase::kCrashed;
-      --n.crash_budget;
-      break;
-    case aStall:
-      n.worker[w].stalled = true;
-      break;
-    case aPump: {
-      const Msg head = n.down[w].front();
-      n.down[w].erase(n.down[w].begin());
-      switch (head.kind) {
-        case Msg::Kind::kData: {
-          n.worker[w].mailbox.push_back(head.b);
-          if (++n.delivered[static_cast<std::size_t>(head.b)] > 1) {
-            n.bad = BadState::kDuplicateDelivery;
-          }
-          break;
-        }
-        case Msg::Kind::kPeerFailed:
-          n.worker[w].poisoned = true;
-          break;
-        case Msg::Kind::kShutdown:
-          n.worker[w].shutdown_seen = true;
-          break;
-        default:
-          break;
-      }
-      break;
-    }
-    case aSupPump: {
-      const Msg head = n.up[w].front();
-      n.up[w].erase(n.up[w].begin());
-      switch (head.kind) {
-        case Msg::Kind::kHello: {
-          if (n.sup[w].promoted) {
-            // Real supervisor: "duplicate hello: harmless". The mutant
-            // re-runs the whole promotion instead.
-            if (scenario_.mutant != Mutant::kDoublePromotion) break;
-          }
-          n.sup[w].promoted = true;
-          if (++n.sup[w].promotions > 1) n.bad = BadState::kDoublePromotion;
-          if (scenario_.mutant != Mutant::kSkipBacklogReplay) {
-            for (const std::int8_t id : n.sup[w].parked) {
-              n.down[w].push_back({Msg::Kind::kData, -1, id});
-            }
-          }
-          n.sup[w].parked.clear();
-          if (scenario_.mutant != Mutant::kSkipFailureReplay) {
-            for (const std::int8_t fr : n.failures) {
-              if (fr == w) continue;
-              n.down[w].push_back({Msg::Kind::kPeerFailed, fr, -1});
-            }
-          }
-          break;
-        }
-        case Msg::Kind::kData: {
-          const int dest = head.a;
-          if (n.sup[dest].failed || n.sup[dest].link_closed) break;  // drop
-          if (!n.sup[dest].promoted) {
-            if (scenario_.mutant == Mutant::kNoParking) break;  // race #1
-            n.sup[dest].parked.push_back(head.b);
-            break;
-          }
-          if (!n.sup[dest].promoted) {
-            // Unreachable through the branches above; kept as the invariant
-            // the parking logic exists to protect.
-            n.bad = BadState::kRouteUnpromoted;
-            break;
-          }
-          n.down[dest].push_back({Msg::Kind::kData, -1, head.b});
-          break;
-        }
-        case Msg::Kind::kGoodbye:
-          n.sup[w].done = true;
-          break;
-        default:
-          break;
-      }
-      break;
-    }
-    case aSupReap:
-      fail(n, w);
-      break;
-    case aWatchdog:
-      fail(n, w);
-      n.worker[w].phase = Phase::kCrashed;  // fail() SIGKILLs the straggler
-      break;
-    case aSupShutdown:
-      n.shutdown_sent = true;
-      for (int v = 0; v < W; ++v) {
-        if (n.sup[v].promoted && !n.sup[v].link_closed) {
-          n.down[v].push_back({Msg::Kind::kShutdown, -1, -1});
-        }
-      }
-      break;
-    default:
-      break;
-  }
-  return n;
-}
-
-bool SupervisionModel::accepting(const State& s) const {
-  if (!s.shutdown_sent) return false;
-  for (int w = 0; w < scenario_.workers; ++w) {
-    const Phase p = s.worker[w].phase;
-    if (p != Phase::kExited && p != Phase::kCrashed) return false;
-  }
-  return true;
-}
-
-std::optional<check::Diagnostic> SupervisionModel::violation(const State& s) const {
-  const auto diag = [](check::Diagnostic::Code code, std::string msg) {
-    check::Diagnostic d;
-    d.code = code;
-    d.message = std::move(msg);
-    return d;
-  };
-  switch (s.bad) {
-    case BadState::kDuplicateDelivery:
-      return diag(check::Diagnostic::Code::kInvariant,
-                  "a frame was deposited twice into the same mailbox");
-    case BadState::kRouteUnpromoted:
-      return diag(check::Diagnostic::Code::kInvariant,
-                  "supervisor queued kData to a rank that was never promoted");
-    case BadState::kDoublePromotion:
-      return diag(check::Diagnostic::Code::kInvariant, "a rank was promoted twice");
-    default:
-      break;
-  }
-  if (!accepting(s)) return std::nullopt;
-
-  // Final-state invariants (the run has terminated legally).
-  const int W = scenario_.workers;
-  if (s.failures.empty()) {
-    for (int id = 0; id < scenario_.stages * W; ++id) {
-      if (s.delivered[static_cast<std::size_t>(id)] != 1) {
-        return diag(check::Diagnostic::Code::kInvariant,
-                    "frame #" + std::to_string(id) +
-                        " was lost although no rank failed");
-      }
-    }
-    for (int w = 0; w < W; ++w) {
-      if (s.worker[w].phase != Phase::kExited ||
-          s.worker[w].pc != static_cast<std::int8_t>(ops()) || s.worker[w].aborted) {
-        return diag(check::Diagnostic::Code::kInvariant,
-                    "worker " + std::to_string(w) +
-                        " did not complete its program although no rank failed");
-      }
-    }
-  } else {
-    for (int w = 0; w < W; ++w) {
-      if (s.worker[w].phase == Phase::kExited &&
-          s.worker[w].pc != static_cast<std::int8_t>(ops()) && !s.worker[w].aborted) {
-        return diag(check::Diagnostic::Code::kInvariant,
-                    "worker " + std::to_string(w) +
-                        " exited mid-program without aborting");
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-void SupervisionModel::encode(const State& s, std::string& out) const {
-  out.clear();
-  const int W = scenario_.workers;
-  for (int w = 0; w < W; ++w) {
-    const Worker& wk = s.worker[w];
-    put8(out, static_cast<std::uint8_t>(wk.phase));
-    put8(out, static_cast<std::uint8_t>(wk.pc));
-    put8(out, static_cast<std::uint8_t>(
-                  (wk.aborted ? 1 : 0) | (wk.stalled ? 2 : 0) | (wk.poisoned ? 4 : 0) |
-                  (wk.shutdown_seen ? 8 : 0) | (wk.dup_hello_sent ? 16 : 0)));
-    put8(out, static_cast<std::uint8_t>(wk.mailbox.size()));
-    for (const std::int8_t id : wk.mailbox) put8(out, static_cast<std::uint8_t>(id));
-
-    const Sup& sp = s.sup[w];
-    put8(out, static_cast<std::uint8_t>((sp.promoted ? 1 : 0) | (sp.done ? 2 : 0) |
-                                        (sp.failed ? 4 : 0) | (sp.link_closed ? 8 : 0)));
-    put8(out, static_cast<std::uint8_t>(sp.promotions));
-    put8(out, static_cast<std::uint8_t>(sp.parked.size()));
-    for (const std::int8_t id : sp.parked) put8(out, static_cast<std::uint8_t>(id));
-
-    for (const auto* q : {&s.up[w], &s.down[w]}) {
-      put8(out, static_cast<std::uint8_t>(q->size()));
-      for (const Msg& m : *q) {
-        put8(out, static_cast<std::uint8_t>(m.kind));
-        put8(out, static_cast<std::uint8_t>(m.a));
-        put8(out, static_cast<std::uint8_t>(m.b));
-      }
-    }
-  }
-  put8(out, static_cast<std::uint8_t>(s.failures.size()));
-  for (const std::int8_t r : s.failures) put8(out, static_cast<std::uint8_t>(r));
-  for (int id = 0; id < scenario_.stages * W; ++id) {
-    put8(out, static_cast<std::uint8_t>(s.delivered[static_cast<std::size_t>(id)]));
-  }
-  put8(out, static_cast<std::uint8_t>((s.shutdown_sent ? 1 : 0) |
-                                      (static_cast<int>(s.crash_budget) << 1)));
-  put8(out, static_cast<std::uint8_t>(s.bad));
-}
-
-std::string SupervisionModel::describe(const Action& act) const {
-  const std::string w = "worker " + std::to_string(act.a);
-  const auto msg_kind = [&]() -> std::string {
-    switch (static_cast<Msg::Kind>(act.b)) {
-      case Msg::Kind::kHello: return "hello";
-      case Msg::Kind::kData: return "data";
-      case Msg::Kind::kGoodbye: return "goodbye";
-      case Msg::Kind::kPeerFailed: return "peer-failed";
-      case Msg::Kind::kShutdown: return "shutdown";
-    }
-    return "?";
-  };
-  switch (act.kind) {
-    case aConnect: return w + ": connect and send hello";
-    case aDupHello: return w + ": send duplicate hello";
-    case aSend:
-      return w + ": send frame #" + std::to_string(act.b) + " to rank " +
-             std::to_string((act.a + 1) % scenario_.workers);
-    case aRecv: return w + ": receive frame #" + std::to_string(act.b);
-    case aAbort: return w + ": poisoned at receive, abort with goodbye";
-    case aGoodbye: return w + ": program complete, send goodbye";
-    case aExit: return w + ": shutdown seen, exit";
-    case aCrash: return w + ": crashes (SIGKILL)";
-    case aStall: return w + ": stalls (SIGSTOP)";
-    case aPump: return w + " reader: deliver " + msg_kind() + " from the down link";
-    case aSupPump:
-      return "supervisor: pump " + msg_kind() + " from " + w + "'s uplink";
-    case aSupReap: return "supervisor: reap crashed " + w + ", broadcast peer-failed";
-    case aWatchdog:
-      return "supervisor: heartbeat watchdog promotes silent " + w + " to failed";
-    case aSupShutdown: return "supervisor: all ranks settled, broadcast shutdown";
-    default: return "?";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +63,31 @@ ResurrectionModel::State ResurrectionModel::initial() const {
   s.crash_budget =
       static_cast<std::int8_t>(scenario_.crash_rank >= 0 ? scenario_.crash_budget : 0);
   return s;
+}
+
+/// fail() of a dead (reaped) or silent (watchdog) worker: record it, close
+/// the link and, unless the mutant skips it, broadcast kPeerFailed to every
+/// live peer.
+void ResurrectionModel::fail(State& st, int w) const {
+  Sup& sp = st.sup[w];
+  sp.dead = true;
+  sp.promoted = false;
+  sp.frame_done = false;
+  sp.parked.clear();
+  st.any_failure = true;
+  if (st.frame_active) {
+    st.faulted_frames = static_cast<std::uint8_t>(st.faulted_frames | (1U << st.frame));
+  }
+  // The dying link's unread bytes cannot be retracted: they surface later
+  // as limbo traffic the generation check must refuse.
+  for (SeqMsg& m : st.up[w]) st.limbo[w].push_back(m);
+  st.up[w].clear();
+  st.down[w].clear();
+  if (scenario_.mutant == Mutant::kSkipPoisonBroadcast) return;
+  for (int v = 0; v < scenario_.workers; ++v) {
+    if (v == w || st.sup[v].dead || st.sup[v].demoted) continue;
+    st.down[v].push_back({SeqMsg::Kind::kPeerFailed, static_cast<std::int8_t>(w), -1, 0, 0});
+  }
 }
 
 /// Worker-side reader deposit with the generation check of
@@ -514,10 +113,10 @@ void ResurrectionModel::deposit(State& st, int w, const SeqMsg& msg) const {
 
 /// Supervisor-side handling of an uplink kData frame from `src` (live link
 /// or limbo): the seq-reuse monitor, the roster generation check of
-/// handle_frame(), then routing with parking for a rank whose rejoin hello
-/// is still in flight.
+/// handle_frame(), then routing with parking for a rank whose hello is
+/// still in flight.
 void ResurrectionModel::route(State& st, int src, const SeqMsg& msg) const {
-  const int bit = msg.gen * scenario_.frames + msg.seq;
+  const int bit = msg.gen * scenario_.frames * scenario_.stages + msg.seq;
   if (bit >= 0 && bit < 16) {
     const auto mask = static_cast<std::uint16_t>(1U << bit);
     if ((st.seen_seq[static_cast<std::size_t>(src)] & mask) != 0) {
@@ -536,6 +135,7 @@ void ResurrectionModel::route(State& st, int src, const SeqMsg& msg) const {
   SeqMsg out = msg;
   out.a = static_cast<std::int8_t>(src);  // down-link kData carries its source
   if (!st.sup[dest].promoted) {
+    if (scenario_.mutant == Mutant::kNoParking) return;  // dropped, not parked
     st.sup[dest].parked.push_back(out);
     return;
   }
@@ -559,6 +159,7 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
 
   for (int w = 0; w < W; ++w) {
     const Worker& wk = s.worker[w];
+    if (wk.stalled) continue;  // SIGSTOPped: no thread of it runs
     const bool up_space =
         static_cast<int>(s.up[w].size()) < scenario_.uplink_capacity;
 
@@ -568,24 +169,30 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
         break;
       case Phase::kIdle:
         if (wk.shutdown_seen) push(static_cast<std::int16_t>(w), aExit, w, -1, kWrk(w));
+        if (scenario_.mutant == Mutant::kDoublePromotion && !wk.dup_hello_sent && up_space) {
+          push(static_cast<std::int16_t>(w), aDupHello, w, -1, kWrk(w) | kUp(w));
+        }
         break;
       case Phase::kRun: {
-        if (wk.pc == 0) {
-          if (up_space) {
-            const int id = frame_id(wk.frame, w);
-            push(static_cast<std::int16_t>(w), aSend, w, id, kWrk(w) | kUp(w));
-          }
-        } else if (wk.pc == 1) {
-          const int src = (w - 1 + W) % W;
-          const int id = frame_id(wk.frame, src);
-          const bool present =
-              std::find(wk.mailbox.begin(), wk.mailbox.end(),
-                        static_cast<std::int8_t>(id)) != wk.mailbox.end();
-          if (present) {
-            push(static_cast<std::int16_t>(w), aRecv, w, id, kWrk(w) | kMbox(w));
-          } else if (wk.poisoned && up_space) {
-            push(static_cast<std::int16_t>(w), aAbortFrame, w, wk.frame,
-                 kWrk(w) | kUp(w) | kMbox(w));
+        if (wk.pc < ops()) {
+          const int round = wk.pc / 2;
+          if (wk.pc % 2 == 0) {
+            if (up_space) {
+              const int id = frame_id(wk.frame, round, w);
+              push(static_cast<std::int16_t>(w), aSend, w, id, kWrk(w) | kUp(w));
+            }
+          } else {
+            const int src = (w - 1 + W) % W;
+            const int id = frame_id(wk.frame, round, src);
+            const bool present =
+                std::find(wk.mailbox.begin(), wk.mailbox.end(),
+                          static_cast<std::int8_t>(id)) != wk.mailbox.end();
+            if (present) {
+              push(static_cast<std::int16_t>(w), aRecv, w, id, kWrk(w) | kMbox(w));
+            } else if (wk.poisoned && up_space) {
+              push(static_cast<std::int16_t>(w), aAbortFrame, w, wk.frame,
+                   kWrk(w) | kUp(w) | kMbox(w));
+            }
           }
         } else if (up_space) {
           push(static_cast<std::int16_t>(w), aFrameDone, w, wk.frame,
@@ -594,6 +201,7 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
         if (may_crash(w) && s.crash_budget > 0) {
           push(static_cast<std::int16_t>(w), aCrash, w, -1, kWrk(w) | kCrashBudget);
         }
+        if (w == scenario_.stall_rank) push(static_cast<std::int16_t>(w), aStall, w, -1, kWrk(w));
         break;
       }
       case Phase::kCrashed:
@@ -602,12 +210,17 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
     }
 
     // Reader thread: pump one frame off the down link. A kFrameStart pump
-    // copies the roster from supervisor state, so it carries kSup too.
+    // copies the roster from supervisor state, so it carries kSup too. A
+    // kData deposit blocks while the mailbox is full; poison lifts the
+    // bound, exactly like Mailbox::deposit.
     if ((wk.phase == Phase::kIdle || wk.phase == Phase::kRun) && !s.down[w].empty()) {
       const SeqMsg& head = s.down[w].front();
+      const bool blocked = head.kind == SeqMsg::Kind::kData && scenario_.mailbox_capacity > 0 &&
+                           static_cast<int>(wk.mailbox.size()) >= scenario_.mailbox_capacity &&
+                           !wk.poisoned;
       std::uint32_t touches = kWrk(w) | kDown(w) | kMbox(w);
       if (head.kind == SeqMsg::Kind::kFrameStart) touches |= kSup;
-      push(kReaderActor(w), aPump, w, static_cast<int>(head.kind), touches);
+      if (!blocked) push(kReaderActor(w), aPump, w, static_cast<int>(head.kind), touches);
     }
   }
 
@@ -621,9 +234,12 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
       push(kSupActor, aLimboPump, w, static_cast<int>(s.limbo[w].front().kind),
            kLimbo(w) | kSup | kDownAll);
     }
+    const std::uint32_t fail_touches = kWrk(w) | kUp(w) | kDown(w) | kLimbo(w) | kSup | kDownAll;
     if (s.worker[w].phase == Phase::kCrashed && !s.sup[w].dead) {
-      push(kSupActor, aSupReap, w, -1,
-           kWrk(w) | kUp(w) | kDown(w) | kLimbo(w) | kSup | kDownAll);
+      push(kSupActor, aSupReap, w, -1, fail_touches);
+    }
+    if (s.worker[w].stalled && !s.sup[w].dead && scenario_.mutant != Mutant::kNoWatchdog) {
+      push(kSupActor, aWatchdog, w, -1, fail_touches);
     }
 
     // Frame-boundary resolution of a dead rank: resurrect under the budget,
@@ -676,20 +292,25 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
       n.up[w].push_back(
           {SeqMsg::Kind::kHello, static_cast<std::int8_t>(w), -1, n.worker[w].gen, 0});
       break;
+    case aDupHello:
+      n.worker[w].dup_hello_sent = true;
+      n.up[w].push_back(
+          {SeqMsg::Kind::kHello, static_cast<std::int8_t>(w), -1, n.worker[w].gen, 0});
+      break;
     case aSend: {
       const int dest = (w + 1) % W;
       n.up[w].push_back({SeqMsg::Kind::kData, static_cast<std::int8_t>(dest),
                          static_cast<std::int8_t>(act.b), n.worker[w].gen,
                          n.worker[w].next_seq});
       ++n.worker[w].next_seq;
-      n.worker[w].pc = 1;
+      ++n.worker[w].pc;
       break;
     }
     case aRecv: {
       auto& mbox = n.worker[w].mailbox;
       const auto it = std::find(mbox.begin(), mbox.end(), static_cast<std::int8_t>(act.b));
       if (it != mbox.end()) mbox.erase(it);
-      n.worker[w].pc = 2;
+      ++n.worker[w].pc;
       break;
     }
     case aAbortFrame:
@@ -710,6 +331,9 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
       n.worker[w].phase = Phase::kCrashed;
       --n.crash_budget;
       break;
+    case aStall:
+      n.worker[w].stalled = true;
+      break;
     case aPump: {
       const SeqMsg head = n.down[w].front();
       n.down[w].erase(n.down[w].begin());
@@ -727,7 +351,7 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
           wk.roster_degraded = degraded;
           // A degraded frame has no full-strength plan: the worker ships its
           // subimage and reports done without touching the ring.
-          wk.pc = degraded ? static_cast<std::int8_t>(2) : static_cast<std::int8_t>(0);
+          wk.pc = static_cast<std::int8_t>(degraded ? ops() : 0);
           wk.phase = Phase::kRun;
           break;
         }
@@ -754,14 +378,16 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
             ++n.stale_rejects;  // a dead incarnation's hello: refuse + drop
             break;
           }
-          if (n.sup[w].promoted) break;  // duplicate hello: harmless
+          if (n.sup[w].promoted) {
+            // Real supervisor: "duplicate hello: harmless". The mutant
+            // re-runs the whole promotion instead.
+            if (scenario_.mutant != Mutant::kDoublePromotion) break;
+            n.bad = BadState::kDoublePromotion;
+          }
           n.sup[w].promoted = true;
           // Backlog replay: frames parked while this (re)join's hello was in
-          // flight move onto the fresh link. The mutant discards a rejoined
-          // rank's backlog instead.
-          const bool discard = scenario_.mutant == Mutant::kRespawnNoBacklogReplay &&
-                               n.sup[w].gen > 0;
-          if (!discard) {
+          // flight move onto the fresh link. The mutant discards them.
+          if (scenario_.mutant != Mutant::kSkipBacklogReplay) {
             for (const SeqMsg& m : n.sup[w].parked) n.down[w].push_back(m);
           }
           n.sup[w].parked.clear();
@@ -792,27 +418,13 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
       }
       break;
     }
-    case aSupReap: {
-      Sup& sp = n.sup[w];
-      sp.dead = true;
-      sp.promoted = false;
-      sp.frame_done = false;
-      sp.parked.clear();
-      n.any_failure = true;
-      if (n.frame_active) {
-        n.faulted_frames = static_cast<std::uint8_t>(n.faulted_frames | (1U << n.frame));
-      }
-      // The dying link's unread bytes cannot be retracted: they surface
-      // later as limbo traffic the generation check must refuse.
-      for (SeqMsg& m : n.up[w]) n.limbo[w].push_back(m);
-      n.up[w].clear();
-      n.down[w].clear();
-      for (int v = 0; v < W; ++v) {
-        if (v == w || n.sup[v].dead || n.sup[v].demoted) continue;
-        n.down[v].push_back({SeqMsg::Kind::kPeerFailed, static_cast<std::int8_t>(w), -1, 0, 0});
-      }
+    case aSupReap:
+      fail(n, w);
       break;
-    }
+    case aWatchdog:
+      fail(n, w);
+      n.worker[w].phase = Phase::kCrashed;  // fail() SIGKILLs the silent worker
+      break;
     case aRespawn: {
       Sup& sp = n.sup[w];
       if (!sp.dead) {
@@ -891,6 +503,8 @@ std::optional<check::Diagnostic> ResurrectionModel::violation(const State& s) co
   switch (s.bad) {
     case BadState::kDuplicateDelivery:
       return diag("a frame was deposited twice into the same mailbox");
+    case BadState::kDoublePromotion:
+      return diag("one incarnation of a rank was promoted twice");
     case BadState::kStaleDelivery:
       return diag("a dead incarnation's frame was deposited under a newer roster");
     case BadState::kDoubleResurrection:
@@ -911,11 +525,13 @@ std::optional<check::Diagnostic> ResurrectionModel::violation(const State& s) co
     const bool whole = (s.faulted_frames & (1U << f)) == 0 &&
                        (s.degraded_frames & (1U << f)) == 0;
     if (!whole) continue;
-    for (int r = 0; r < W; ++r) {
-      const auto id = static_cast<std::size_t>(frame_id(f, r));
-      if (s.delivered[id] != 1) {
-        return diag("frame " + std::to_string(f) + " message #" + std::to_string(f * W + r) +
-                    " was not delivered exactly once although the frame was whole");
+    for (int round = 0; round < scenario_.stages; ++round) {
+      for (int r = 0; r < W; ++r) {
+        const int id = frame_id(f, round, r);
+        if (s.delivered[static_cast<std::size_t>(id)] != 1) {
+          return diag("frame " + std::to_string(f) + " message #" + std::to_string(id) +
+                      " was not delivered exactly once although the frame was whole");
+        }
       }
     }
   }
@@ -952,9 +568,9 @@ void ResurrectionModel::encode(const State& s, std::string& out) const {
     put8(out, static_cast<std::uint8_t>(wk.pc));
     put8(out, static_cast<std::uint8_t>(wk.frame));
     put8(out, static_cast<std::uint8_t>(wk.frames_completed));
-    put8(out, static_cast<std::uint8_t>((wk.poisoned ? 1 : 0) |
-                                        (wk.shutdown_seen ? 2 : 0) |
-                                        (wk.roster_degraded ? 4 : 0)));
+    put8(out, static_cast<std::uint8_t>((wk.poisoned ? 1 : 0) | (wk.shutdown_seen ? 2 : 0) |
+                                        (wk.roster_degraded ? 4 : 0) | (wk.stalled ? 8 : 0) |
+                                        (wk.dup_hello_sent ? 16 : 0)));
     for (int v = 0; v < W; ++v) {
       put8(out, static_cast<std::uint8_t>(wk.roster_gen[static_cast<std::size_t>(v)]));
     }
@@ -973,7 +589,7 @@ void ResurrectionModel::encode(const State& s, std::string& out) const {
     put8(out, static_cast<std::uint8_t>(s.seen_seq[w] & 0xFF));
     put8(out, static_cast<std::uint8_t>(s.seen_seq[w] >> 8));
   }
-  for (int id = 0; id < scenario_.frames * W; ++id) {
+  for (int id = 0; id < scenario_.frames * scenario_.stages * W; ++id) {
     put8(out, static_cast<std::uint8_t>(s.delivered[static_cast<std::size_t>(id)]));
   }
   put8(out, static_cast<std::uint8_t>(s.frame));
@@ -1003,6 +619,7 @@ std::string ResurrectionModel::describe(const Action& act) const {
   };
   switch (act.kind) {
     case aConnect: return w + ": connect and send hello (with generation)";
+    case aDupHello: return w + ": send duplicate hello";
     case aSend:
       return w + ": send frame message #" + std::to_string(act.b) + " to rank " +
              std::to_string((act.a + 1) % scenario_.workers);
@@ -1013,12 +630,15 @@ std::string ResurrectionModel::describe(const Action& act) const {
     case aFrameDone: return w + ": frame " + std::to_string(act.b) + " complete, frame-done";
     case aExit: return w + ": shutdown seen, exit";
     case aCrash: return w + ": crashes (SIGKILL) mid-frame";
+    case aStall: return w + ": stalls (SIGSTOP) mid-frame";
     case aPump: return w + " reader: deliver " + msg_kind() + " from the down link";
     case aSupPump:
       return "supervisor: pump " + msg_kind() + " from " + w + "'s uplink";
     case aLimboPump:
       return "supervisor: read delayed " + msg_kind() + " of " + w + "'s dead incarnation";
     case aSupReap: return "supervisor: reap crashed " + w + ", broadcast peer-failed";
+    case aWatchdog:
+      return "supervisor: heartbeat watchdog fails silent " + w + ", broadcast peer-failed";
     case aRespawn: return "supervisor: boundary respawn of " + w + " (generation + 1)";
     case aDemote: return "supervisor: respawn budget dry, demote " + w + " for good";
     case aFrameOpen:

@@ -1,36 +1,34 @@
-// Code-mirroring state machines for the PR 6 supervision protocol and the
-// PR 4 envelope NAK/retransmit channel, checked exhaustively by
+// Code-mirroring state machines for the socket supervisor's frame protocol
+// and the envelope NAK/retransmit channel, checked exhaustively by
 // model::explore (checker.hpp).
 //
-// SupervisionModel mirrors, actor by actor, the real runtime:
-//   * the supervisor poll loop (supervisor.cpp): per-link pump, kData
-//     routing with parking for not-yet-promoted destinations, promotion at
-//     kHello with backlog + failure-history replay, kGoodbye accounting,
-//     waitpid reap -> fail() -> kPeerFailed broadcast to valid links only,
-//     heartbeat watchdog, kShutdown broadcast once every rank is settled;
-//   * the worker lifecycle (proc_runner.cpp + socket_transport.cpp):
-//     connect/backoff -> kHello -> promoted -> a ring exchange of sends and
-//     mailbox receives -> kGoodbye -> drain until kShutdown -> exit, with
-//     PeerFailedError aborts when the local context is poisoned;
-//   * the worker-side reader thread: down-link frames deposit into the
-//     local mailbox under capacity backpressure (deposit blocks while the
-//     mailbox is full, poison lifts the bound), kPeerFailed poisons.
-// Crash (SIGKILL) and stall (SIGSTOP) actions are enabled per scenario.
+// ResurrectionModel mirrors, actor by actor, Supervisor::run_sequence and
+// the resident worker loop (proc_runner.cpp + socket_transport.cpp):
+//   * the supervisor poll loop: per-link pump, kData routing with parking
+//     for not-yet-promoted destinations, promotion at kHello with backlog
+//     replay (a duplicate kHello is ignored), kFrameStart/kFrameDone
+//     barriers, waitpid reap and heartbeat watchdog -> fail() -> kPeerFailed
+//     broadcast, boundary respawn under a budget, circuit-breaker demotion,
+//     kShutdown once the last frame settled;
+//   * the worker: connect -> kHello{generation} -> per frame a ring
+//     exchange of `stages` rounds of sends and mailbox receives ->
+//     kFrameDone -> ... -> exit on kShutdown, aborting a frame when its
+//     context is poisoned;
+//   * the worker-side reader thread: kFrameStart installs the roster,
+//     generation-checked kData deposits into the local mailbox under
+//     capacity backpressure (deposit blocks while the mailbox is full,
+//     poison lifts the bound), kPeerFailed poisons.
+// Crash (SIGKILL) and stall (SIGSTOP) actions are enabled per scenario. A
+// one-frame scenario is the plain single-frame run.
 //
 // Heartbeats are abstracted: the model does not enqueue kHeartbeat frames
 // (they carry no protocol state) — the watchdog is modelled as an action
-// enabled once a worker is stalled. That keeps every counter in the state
-// monotone, so the supervision state graph is finite and acyclic.
+// enabled once a worker is stalled.
 //
 // RetransmitModel mirrors envelope.hpp + the Comm retry path: a sender with
 // an in-flight store, a lossy/reordering/corrupting channel with a bounded
 // damage budget, and a receiver that deposits in-sequence envelopes, stashes
 // ahead-of-sequence ones and NAKs gaps/corruption for retransmission.
-//
-// ResurrectionModel (PR 9) mirrors Supervisor::run_sequence: multi-frame
-// runs with kFrameStart/kFrameDone barriers, boundary respawn of crashed
-// ranks under a budget, circuit-breaker demotion, and (rank, generation)
-// identity with generation-checked delivery on both edges of the hub.
 //
 // Mutants re-introduce real (fixed) defects or plant plausible ones; the
 // checker must produce a counterexample for every mutant (scenarios.cpp
@@ -52,21 +50,20 @@ inline constexpr int kMaxWorkers = 4;
 
 /// A seeded protocol defect. kNone is the shipped protocol; everything else
 /// must be caught by the checker (mutation coverage for the model itself).
+/// A new mutant goes into kAllMutants too.
 enum class Mutant : std::uint8_t {
   kNone = 0,
-  /// PR 6 startup race #1: drop (instead of park) kData addressed to a rank
-  /// that has not completed its kHello yet.
+  /// Startup race: drop (instead of park) kData addressed to a rank that
+  /// has not completed its kHello yet.
   kNoParking,
-  /// Park, but discard the parked backlog at promotion instead of replaying
-  /// it onto the fresh link.
+  /// Park, but discard the parked backlog at promotion — a first join's or
+  /// a respawned incarnation's — instead of replaying it onto the fresh
+  /// link: the promoted rank waits on a message that was silently dropped.
   kSkipBacklogReplay,
-  /// PR 6 startup race #2: do not replay the failure history to a late
-  /// joiner — it waits on a dead rank forever.
-  kSkipFailureReplay,
   /// Record a failure without broadcasting kPeerFailed: survivors block.
   kSkipPoisonBroadcast,
   /// Re-run promotion on a duplicate kHello (the real supervisor ignores
-  /// it): the backlog/failure replay runs twice.
+  /// it): the backlog replay runs twice.
   kDoublePromotion,
   /// Disable the heartbeat watchdog: a SIGSTOPped worker wedges the run.
   kNoWatchdog,
@@ -76,50 +73,54 @@ enum class Mutant : std::uint8_t {
   /// Retransmit layer: give retransmitted envelopes fresh sequence numbers
   /// instead of the originals from the in-flight store.
   kRenumberRetransmit,
-  /// PR 9 rejoin: drop the envelope generation check (supervisor and worker
+  /// Rejoin: drop the envelope generation check (supervisor and worker
   /// side) — a dead incarnation's delayed frame lands in a later frame.
   kDropGenerationCheck,
-  /// PR 9 rejoin: promote a respawned rank without replaying the frames
-  /// parked for it while its hello was in flight — the fresh incarnation
-  /// waits on a message that was silently discarded.
-  kRespawnNoBacklogReplay,
-  /// PR 9 respawn: resurrect a rank that is not dead (the single-respawn-
-  /// per-death guard removed) — two incarnations of one rank alive at once.
+  /// Respawn: resurrect a rank that is not dead (the single-respawn-per-
+  /// death guard removed) — two incarnations of one rank alive at once.
   kResurrectTwice,
-  /// PR 9 respawn: fork the replacement without bumping the generation —
-  /// its per-link sequence space restarts and collides with its
-  /// predecessor's.
+  /// Respawn: fork the replacement without bumping the generation — its
+  /// per-link sequence space restarts and collides with its predecessor's.
   kRespawnSameGeneration,
 };
+
+/// Every seeded defect, kNone excluded, in enumerator order: slspvr-model
+/// --mutants fails when one of them is paired with no scenario.
+inline constexpr std::array kAllMutants{
+    Mutant::kNoParking,          Mutant::kSkipBacklogReplay,   Mutant::kSkipPoisonBroadcast,
+    Mutant::kDoublePromotion,    Mutant::kNoWatchdog,          Mutant::kAckBeforeDeposit,
+    Mutant::kRenumberRetransmit, Mutant::kDropGenerationCheck, Mutant::kResurrectTwice,
+    Mutant::kRespawnSameGeneration,
+};
+static_assert(static_cast<std::size_t>(kAllMutants.back()) == kAllMutants.size(),
+              "kAllMutants lists every enumerator after kNone, in order");
 
 [[nodiscard]] const char* mutant_name(Mutant m);
 
 /// One checkable configuration: which protocol, how many actors, which
 /// adversarial actions are armed, and which mutant (if any) is planted.
 struct Scenario {
-  enum class Kind : std::uint8_t { kSupervision, kRetransmit, kResurrection };
+  enum class Kind : std::uint8_t { kResurrection, kRetransmit };
 
   std::string name;
-  Kind kind = Kind::kSupervision;
+  Kind kind = Kind::kResurrection;
 
   // --- supervision parameters ---
   int workers = 2;           ///< 2..kMaxWorkers
-  int stages = 1;            ///< ring-exchange rounds per worker
+  int frames = 1;            ///< rendering frames in the sequence
+  int stages = 1;            ///< ring-exchange rounds per worker and frame
   int mailbox_capacity = 0;  ///< 0 = unbounded (Mailbox semantics)
   int uplink_capacity = 3;   ///< worker->supervisor channel bound
   /// -1: crashes disabled; kMaxWorkers: any single worker may crash
   /// (nondeterministic choice); else: only this rank may crash.
   int crash_rank = -1;
-  int stall_rank = -1;  ///< -1: stalls disabled (SIGSTOP model)
+  int crash_budget = 1;    ///< total mid-frame crashes the adversary gets
+  int stall_rank = -1;     ///< -1: stalls disabled (SIGSTOP model)
+  int respawn_budget = 1;  ///< RespawnPolicy::max_respawns_per_rank
 
   // --- retransmit parameters ---
   int messages = 3;       ///< envelopes to deliver on the channel
   int damage_budget = 2;  ///< total drops + corruptions the adversary gets
-
-  // --- resurrection (sequence-mode) parameters ---
-  int frames = 2;          ///< rendering frames in the multi-frame sequence
-  int respawn_budget = 1;  ///< RespawnPolicy::max_respawns_per_rank
-  int crash_budget = 1;    ///< total mid-frame crashes the adversary gets
 
   Mutant mutant = Mutant::kNone;
 };
@@ -129,10 +130,7 @@ struct Scenario {
 enum class BadState : std::uint8_t {
   kNone = 0,
   kDuplicateDelivery,   ///< a frame deposited twice into a mailbox
-  kRouteUnpromoted,     ///< supervisor queued kData to an unpromoted rank
-  kDoublePromotion,     ///< a rank promoted twice
-  kLostWithoutFailure,  ///< final: frame undelivered yet nobody failed
-  kPrematureExit,       ///< final: worker exited mid-program, not aborted
+  kDoublePromotion,     ///< one incarnation promoted twice
   kRenumberedSeq,       ///< retransmit carried a never-issued seq number
   kAckedButLost,        ///< receiver cursor passed an undeposited payload
   kStaleDelivery,       ///< a dead incarnation's frame deposited in a mailbox
@@ -141,106 +139,17 @@ enum class BadState : std::uint8_t {
 };
 
 // ---------------------------------------------------------------------------
-// Supervision protocol model
+// Supervisor frame protocol model
 // ---------------------------------------------------------------------------
 
-/// In-model message (both directions). Up: kHello/kData{dest,id}/kGoodbye.
-/// Down: kData{id}/kPeerFailed{rank}/kShutdown.
-struct Msg {
-  enum class Kind : std::uint8_t { kHello = 1, kData, kGoodbye, kPeerFailed, kShutdown };
-  Kind kind = Kind::kHello;
-  std::int8_t a = -1;  ///< kData up: dest; kPeerFailed: failed rank
-  std::int8_t b = -1;  ///< kData: frame id
-};
-
-class SupervisionModel {
- public:
-  /// Worker lifecycle phases, mirroring proc_runner::worker_main.
-  enum class Phase : std::uint8_t { kStart = 0, kRun, kWaitShutdown, kExited, kCrashed };
-
-  struct Worker {
-    Phase phase = Phase::kStart;
-    std::int8_t pc = 0;  ///< next op in the ring program (2*stages ops)
-    bool aborted = false;
-    bool stalled = false;
-    bool poisoned = false;
-    bool shutdown_seen = false;
-    bool dup_hello_sent = false;
-    std::vector<std::int8_t> mailbox;  ///< deposited frame ids, FIFO
-  };
-
-  struct Sup {
-    bool promoted = false;
-    std::int8_t promotions = 0;
-    bool done = false;    ///< kGoodbye seen
-    bool failed = false;  ///< failure recorded
-    bool link_closed = false;
-    std::vector<std::int8_t> parked;  ///< frame ids parked for this rank
-  };
-
-  struct State {
-    std::array<Worker, kMaxWorkers> worker;
-    std::array<Sup, kMaxWorkers> sup;
-    std::array<std::vector<Msg>, kMaxWorkers> up;    ///< worker -> supervisor
-    std::array<std::vector<Msg>, kMaxWorkers> down;  ///< supervisor -> worker
-    std::array<std::int8_t, kMaxWorkers * 8> delivered{};  ///< per frame id
-    std::vector<std::int8_t> failures;  ///< detection order, mirrors out.failures
-    bool shutdown_sent = false;
-    std::int8_t crash_budget = 0;
-    BadState bad = BadState::kNone;
-  };
-
-  /// Action kinds (Action::kind); Action::a = worker rank where relevant.
-  enum Kind : std::int16_t {
-    aConnect = 1,  ///< connect + kHello
-    aDupHello,     ///< second kHello (kDoublePromotion mutant only)
-    aSend,         ///< ring op: kData to the next rank
-    aRecv,         ///< ring op: matching mailbox receive
-    aAbort,        ///< poisoned at a blocked receive: goodbye + abort
-    aGoodbye,      ///< program complete: kGoodbye
-    aExit,         ///< kShutdown seen: process exits
-    aCrash,        ///< SIGKILL mid-run
-    aStall,        ///< SIGSTOP (worker stops scheduling any action)
-    aPump,         ///< reader thread: pop one down-link frame
-    aSupPump,      ///< supervisor: pop one up-link frame
-    aSupReap,      ///< supervisor: waitpid/EOF on a crashed worker
-    aWatchdog,     ///< heartbeat timeout promotes a stalled worker to failed
-    aSupShutdown,  ///< all settled: broadcast kShutdown
-  };
-
-  explicit SupervisionModel(Scenario scenario);
-
-  [[nodiscard]] State initial() const;
-  void enumerate(const State& s, std::vector<Action>& out) const;
-  [[nodiscard]] State apply(const State& s, const Action& act) const;
-  [[nodiscard]] std::optional<check::Diagnostic> violation(const State& s) const;
-  [[nodiscard]] bool accepting(const State& s) const;
-  void encode(const State& s, std::string& out) const;
-  [[nodiscard]] std::string describe(const Action& act) const;
-
-  [[nodiscard]] const Scenario& scenario() const { return scenario_; }
-  /// Total ops in each worker's ring program (2 per stage: send, recv).
-  [[nodiscard]] int ops() const { return 2 * scenario_.stages; }
-  /// Frame id sent by `rank` in `round`; its receiver is (rank+1) % workers.
-  [[nodiscard]] int frame_id(int round, int rank) const {
-    return round * scenario_.workers + rank;
-  }
-
- private:
-  [[nodiscard]] bool may_crash(int w) const;
-  Scenario scenario_;
-};
-
-// ---------------------------------------------------------------------------
-// Sequence-mode resurrection model (PR 9)
-// ---------------------------------------------------------------------------
-
-/// Mirrors Supervisor::run_sequence + the sequence worker loop: rendering
-/// frames gated by kFrameStart/kFrameDone barriers, one ring exchange per
-/// frame, a mid-frame crash adversary, boundary resurrection with
-/// generation bumps, the circuit-breaker demotion when the respawn budget
-/// runs dry, and generation-checked delivery on both the supervisor and
-/// worker edges.
+/// Mirrors Supervisor::run_sequence + the resident worker loop: rendering
+/// frames gated by kFrameStart/kFrameDone barriers, a ring exchange of
+/// `stages` rounds per frame, a mid-frame crash adversary, a SIGSTOP stall
+/// caught by the heartbeat watchdog, bounded-mailbox backpressure, boundary
+/// resurrection with generation bumps, the circuit-breaker demotion when
+/// the respawn budget runs dry, and generation-checked delivery on both the
+/// supervisor and worker edges. A death in the last frame is followed by no
+/// resurrection.
 ///
 /// Rank identity is (rank, generation). A crashed incarnation's unread
 /// uplink traffic moves to a per-rank `limbo` channel the supervisor may
@@ -250,9 +159,16 @@ class SupervisionModel {
 /// roster; the kDropGenerationCheck mutant routes them and trips
 /// BadState::kStaleDelivery when one lands in a later frame's mailbox.
 ///
+/// A frame opens once no live rank is dead, without waiting for promotion;
+/// the real loop also waits for every live rank's kHello. That
+/// over-approximation is what lets the model exercise parking and backlog
+/// replay.
+///
 /// Invariants (beyond deadlock/livelock-freedom):
 ///  * no stale-generation delivery: every deposited frame carries the
 ///    roster generation of its source (kStaleDelivery);
+///  * no double promotion: one incarnation is promoted once
+///    (kDoublePromotion);
 ///  * no double resurrection: a respawn only ever targets a dead rank
 ///    (kDoubleResurrection);
 ///  * no seq reuse across generations: the supervisor never sees one
@@ -288,11 +204,15 @@ class ResurrectionModel {
     Phase phase = Phase::kStart;
     std::int8_t gen = 0;
     std::int8_t next_seq = 0;  ///< per-incarnation channel sequence counter
-    std::int8_t pc = 0;        ///< 0 = send, 1 = recv, 2 = frame-done pending
+    /// Next ring op: even = send, odd = recv of round pc / 2; ops() =
+    /// frame-done pending.
+    std::int8_t pc = 0;
     std::int8_t frame = -1;    ///< the frame this worker is running
     std::int8_t frames_completed = 0;
     bool poisoned = false;
     bool shutdown_seen = false;
+    bool stalled = false;         ///< SIGSTOPped: no thread of it runs
+    bool dup_hello_sent = false;  ///< kDoublePromotion mutant only
     /// The roster the last kFrameStart carried: per-source generations the
     /// worker-side reader checks kData against, and whether the frame runs
     /// degraded (any rank folded out).
@@ -317,10 +237,11 @@ class ResurrectionModel {
     std::array<std::vector<SeqMsg>, kMaxWorkers> up;     ///< live uplink
     std::array<std::vector<SeqMsg>, kMaxWorkers> down;   ///< supervisor -> worker
     std::array<std::vector<SeqMsg>, kMaxWorkers> limbo;  ///< dead-incarnation leftovers
-    /// Delivery count per frame id (frame * workers + src), all frames.
-    std::array<std::int8_t, kMaxWorkers * 4> delivered{};
-    /// (gen * frames + seq) bitmask of uplink kData the supervisor has seen,
-    /// per source rank — the no-seq-reuse-across-generations monitor.
+    /// Delivery count per message id (frame_id), all frames.
+    std::array<std::int8_t, kMaxWorkers * 8> delivered{};
+    /// (gen * frames * stages + seq) bitmask of uplink kData the supervisor
+    /// has seen, per source rank — the no-seq-reuse-across-generations
+    /// monitor.
     std::array<std::uint16_t, kMaxWorkers> seen_seq{};
     std::int8_t frame = -1;        ///< open frame (valid while frame_active)
     std::int8_t frames_done = 0;
@@ -337,16 +258,19 @@ class ResurrectionModel {
   /// Action kinds (Action::kind); Action::a = rank where relevant.
   enum Kind : std::int16_t {
     aConnect = 1,  ///< connect + kHello{generation}
+    aDupHello,     ///< second kHello (kDoublePromotion mutant only)
     aSend,         ///< ring op: kData to the next rank
     aRecv,         ///< ring op: matching mailbox receive
     aAbortFrame,   ///< poisoned at a blocked receive: kFrameDone{aborted}
     aFrameDone,    ///< frame complete: kFrameDone
     aExit,         ///< kShutdown seen: process exits
     aCrash,        ///< SIGKILL mid-frame
+    aStall,        ///< SIGSTOP mid-frame (the worker stops taking any action)
     aPump,         ///< reader thread: pop one down-link frame
     aSupPump,      ///< supervisor: pop one live up-link frame
     aLimboPump,    ///< supervisor: pop one dead-incarnation leftover frame
     aSupReap,      ///< supervisor: waitpid on a crashed worker, fail + poison
+    aWatchdog,     ///< heartbeat timeout: fail + SIGKILL a stalled worker
     aRespawn,      ///< frame boundary: fork the rank again, generation + 1
     aDemote,       ///< frame boundary: respawn budget dry, fold the rank out
     aFrameOpen,    ///< all ranks resolved: broadcast kFrameStart
@@ -365,13 +289,17 @@ class ResurrectionModel {
   [[nodiscard]] std::string describe(const Action& act) const;
 
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
-  /// Frame id sent by `rank` in `frame`; its receiver is (rank+1) % workers.
-  [[nodiscard]] int frame_id(int frame, int rank) const {
-    return frame * scenario_.workers + rank;
+  /// Ring ops per frame (2 per round: send, recv).
+  [[nodiscard]] int ops() const { return 2 * scenario_.stages; }
+  /// Message id sent by `rank` in `round` of `frame`; its receiver is
+  /// (rank+1) % workers.
+  [[nodiscard]] int frame_id(int frame, int round, int rank) const {
+    return (frame * scenario_.stages + round) * scenario_.workers + rank;
   }
 
  private:
   [[nodiscard]] bool may_crash(int w) const;
+  void fail(State& st, int w) const;
   void deposit(State& st, int w, const SeqMsg& msg) const;
   void route(State& st, int src, const SeqMsg& msg) const;
   Scenario scenario_;

@@ -6,19 +6,19 @@ namespace slspvr::model {
 
 namespace {
 
-Scenario supervision(std::string name, int workers, int stages) {
+/// A one-frame run (the plain single-frame render) of `workers` ranks.
+Scenario one_frame(std::string name, int workers, int stages) {
   Scenario s;
   s.name = std::move(name);
-  s.kind = Scenario::Kind::kSupervision;
   s.workers = workers;
   s.stages = stages;
   return s;
 }
 
+/// A two-frame sequence with one mid-frame crash and one respawn per rank.
 Scenario resurrection(std::string name, int workers, int crash_rank) {
   Scenario s;
   s.name = std::move(name);
-  s.kind = Scenario::Kind::kResurrection;
   s.workers = workers;
   s.crash_rank = crash_rank;
   s.frames = 2;
@@ -33,33 +33,34 @@ std::vector<Scenario> all_scenarios(int max_workers) {
   const int top = std::clamp(max_workers, 2, kMaxWorkers);
   std::vector<Scenario> out;
 
+  // One-frame runs: a death in the only frame is followed by no
+  // resurrection, so these check the in-frame protocol on its own.
+
   // hello: the startup path — parking for not-yet-promoted ranks, promotion
-  // with backlog replay, goodbye/shutdown drain. Exhaustive up to `top`.
+  // with backlog replay, shutdown drain. Exhaustive up to `top`.
   for (int w = 2; w <= top; ++w) {
-    out.push_back(supervision("hello-w" + std::to_string(w), w, 1));
+    out.push_back(one_frame("hello-w" + std::to_string(w), w, 1));
   }
 
-  // drain: two exchange rounds so late frames overlap the goodbye path.
-  out.push_back(supervision("drain-w" + std::to_string(std::min(3, top)),
-                            std::min(3, top), 2));
+  // drain: two exchange rounds so late frames overlap the frame-done path.
+  out.push_back(one_frame("drain-w" + std::to_string(std::min(3, top)), std::min(3, top), 2));
 
-  // crash: one nondeterministic SIGKILL (any rank, any point) — poison
-  // propagation, failure-history replay to late joiners, reap ordering.
+  // crash: one nondeterministic SIGKILL (any rank, any point of the frame) —
+  // poison propagation and reap ordering.
   for (int w = 2; w <= std::min(3, top); ++w) {
-    Scenario s = supervision("crash-w" + std::to_string(w), w, 1);
+    Scenario s = one_frame("crash-w" + std::to_string(w), w, 1);
     s.crash_rank = kMaxWorkers;  // any single rank may crash
     out.push_back(s);
   }
   if (top >= 4) {
-    Scenario s = supervision("crash-w4", 4, 1);
+    Scenario s = one_frame("crash-w4", 4, 1);
     s.crash_rank = 0;  // fixed rank keeps the exhaustive run tractable
     out.push_back(s);
   }
 
   // heartbeat: a SIGSTOPped rank must be promoted to failed by the watchdog.
   {
-    Scenario s = supervision("heartbeat-w" + std::to_string(std::min(3, top)),
-                             std::min(3, top), 1);
+    Scenario s = one_frame("heartbeat-w" + std::to_string(std::min(3, top)), std::min(3, top), 1);
     s.stall_rank = 1;
     out.push_back(s);
   }
@@ -67,17 +68,17 @@ std::vector<Scenario> all_scenarios(int max_workers) {
   // backpressure: capacity-1 mailboxes, two rounds, a possible crash — the
   // deposit-blocked/poison-wakes interplay of Mailbox::set_capacity.
   {
-    Scenario s = supervision("backpressure-w2", 2, 2);
+    Scenario s = one_frame("backpressure-w2", 2, 2);
     s.mailbox_capacity = 1;
     s.crash_rank = kMaxWorkers;
     out.push_back(s);
   }
 
-  // respawn: the PR 9 sequence supervisor — two rendering frames, one
-  // nondeterministic mid-frame SIGKILL, boundary resurrection with a
-  // generation bump. Checks the rejoin window (backlog parking for the
-  // respawned rank), stale-generation rejection of the dead incarnation's
-  // delayed traffic, and that the post-recovery frame is whole again.
+  // respawn: two rendering frames, one nondeterministic mid-frame SIGKILL,
+  // boundary resurrection with a generation bump. Checks the rejoin window
+  // (backlog parking for the respawned rank), stale-generation rejection of
+  // the dead incarnation's delayed traffic, and that the post-recovery
+  // frame is whole again.
   for (int w = 2; w <= std::min(3, top); ++w) {
     out.push_back(resurrection("respawn-w" + std::to_string(w), w, kMaxWorkers));
   }
@@ -121,22 +122,19 @@ std::vector<Mutant> mutants_for(const Scenario& scenario) {
   if (scenario.kind == Scenario::Kind::kRetransmit) {
     return {Mutant::kAckBeforeDeposit, Mutant::kRenumberRetransmit};
   }
-  if (scenario.kind == Scenario::Kind::kResurrection) {
+  if (scenario.frames > 1) {
     if (scenario.respawn_budget <= 0) return {};  // demotion path: no rejoin
-    return {Mutant::kDropGenerationCheck, Mutant::kRespawnNoBacklogReplay,
+    return {Mutant::kDropGenerationCheck, Mutant::kSkipBacklogReplay,
             Mutant::kResurrectTwice, Mutant::kRespawnSameGeneration};
   }
   std::vector<Mutant> out;
-  // The two PR 6 startup races need the plain startup path to surface.
+  // The startup races need the plain startup path to surface.
   if (scenario.crash_rank < 0 && scenario.stall_rank < 0) {
-    out.push_back(Mutant::kNoParking);         // race #1: early frames dropped
+    out.push_back(Mutant::kNoParking);  // early frames dropped
     out.push_back(Mutant::kSkipBacklogReplay);
     out.push_back(Mutant::kDoublePromotion);
   }
-  if (scenario.crash_rank >= 0) {
-    out.push_back(Mutant::kSkipFailureReplay);  // race #2: late joiner wedges
-    out.push_back(Mutant::kSkipPoisonBroadcast);
-  }
+  if (scenario.crash_rank >= 0) out.push_back(Mutant::kSkipPoisonBroadcast);
   if (scenario.stall_rank >= 0) out.push_back(Mutant::kNoWatchdog);
   return out;
 }
@@ -145,10 +143,7 @@ CheckResult run_scenario(const Scenario& scenario, const Limits& limits) {
   if (scenario.kind == Scenario::Kind::kRetransmit) {
     return explore(RetransmitModel(scenario), limits);
   }
-  if (scenario.kind == Scenario::Kind::kResurrection) {
-    return explore(ResurrectionModel(scenario), limits);
-  }
-  return explore(SupervisionModel(scenario), limits);
+  return explore(ResurrectionModel(scenario), limits);
 }
 
 }  // namespace slspvr::model

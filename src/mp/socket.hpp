@@ -148,12 +148,12 @@ enum class FrameKind : std::uint32_t {
   kFailed = 8,      ///< worker -> supervisor: I failed primarily (tag = stage,
                     ///< payload = reason); the worker stays alive to ship
                     ///< reports, the supervisor broadcasts kPeerFailed
-  kFrameStart = 9,  ///< supervisor -> worker (sequence mode): tag = frame
-                    ///< index, payload = the roster (per-rank generations +
-                    ///< demoted set); opens the next rendering frame
-  kFrameDone = 10,  ///< worker -> supervisor (sequence mode): tag = frame
-                    ///< index, payload[0] = 0 clean / 1 aborted; the frame
-                    ///< barrier that makes resurrection land between frames
+  kFrameStart = 9,  ///< supervisor -> worker: tag = frame index, payload =
+                    ///< the roster (per-rank generations + demoted set);
+                    ///< opens the next rendering frame
+  kFrameDone = 10,  ///< worker -> supervisor: tag = frame index, payload[0] =
+                    ///< 0 clean / 1 aborted; the frame barrier that makes
+                    ///< resurrection land between frames
 };
 
 /// One transport frame. For kData frames the fields mirror mp::Message

@@ -3,12 +3,31 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace slspvr::mp {
 
-SocketTransport::SocketTransport(CommContext* ctx, int rank, Fd link, Options opts)
-    : ctx_(ctx), rank_(rank), link_(std::move(link)), opts_(std::move(opts)) {}
+namespace {
+
+/// Non-owning Transport view: the SocketTransport outlives every frame's
+/// CommContext, but CommContext::transport owns its pointee — so each frame
+/// installs one of these instead.
+class BorrowedTransport final : public Transport {
+ public:
+  explicit BorrowedTransport(SocketTransport* inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const noexcept override { return inner_->name(); }
+  [[nodiscard]] bool shared_memory() const noexcept override { return false; }
+  void submit(int dest, Message msg) override { inner_->submit(dest, std::move(msg)); }
+
+ private:
+  SocketTransport* inner_;  ///< not owned; outlives every frame
+};
+
+}  // namespace
+
+SocketTransport::SocketTransport(int rank, Fd link, Options opts)
+    : rank_(rank), link_(std::move(link)), opts_(std::move(opts)) {}
 
 SocketTransport::~SocketTransport() { stop_threads(); }
 
@@ -97,24 +116,17 @@ void SocketTransport::reader_loop() {
         // Incarnation safety at the receiving edge: the sender's generation
         // must match the roster this frame opened with — a dead
         // incarnation's in-flight message must never reach a live frame.
-        if (opts_.sequence) {
-          const int src = frame->source;
-          if (src < 0 || static_cast<std::size_t>(src) >= roster_.generations.size() ||
-              frame->generation != roster_.generations[static_cast<std::size_t>(src)]) {
-            stale_rejects_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
+        const int src = frame->source;
+        if (src < 0 || static_cast<std::size_t>(src) >= roster_.generations.size() ||
+            frame->generation != roster_.generations[static_cast<std::size_t>(src)]) {
+          break;
         }
         // A fast peer can legally race ahead of us: it got the same
         // kFrameStart, finished rendering first, and its stage-0 exchange
         // arrives while we are still rendering (before begin_frame binds the
         // frame's context). Park it; begin_frame replays in arrival order.
         if (ctx_ == nullptr) {
-          if (opts_.sequence) {
-            early_.push_back(std::move(*frame));
-          } else {
-            stale_rejects_.fetch_add(1, std::memory_order_relaxed);
-          }
+          early_.push_back(std::move(*frame));
           break;
         }
         Message msg;
@@ -136,7 +148,7 @@ void SocketTransport::reader_loop() {
         // poison too, or the composite would block forever on a rank the
         // supervisor already declared dead.
         if (ctx_ == nullptr) {
-          if (opts_.sequence) early_.push_back(std::move(*frame));
+          early_.push_back(std::move(*frame));
           break;
         }
         const std::string reason(reinterpret_cast<const char*>(frame->payload.data()),
@@ -145,10 +157,6 @@ void SocketTransport::reader_loop() {
         break;
       }
       case FrameKind::kFrameStart: {
-        if (!opts_.sequence) {
-          link_lost("unexpected frame kind from supervisor");
-          return;
-        }
         FrameRoster roster;
         try {
           roster = parse_roster(frame->tag, frame->payload);
@@ -219,6 +227,7 @@ std::optional<FrameRoster> SocketTransport::await_frame_start(std::chrono::milli
 }
 
 void SocketTransport::begin_frame(CommContext* ctx) {
+  ctx->transport = std::make_unique<BorrowedTransport>(this);
   const std::lock_guard lock(ctx_mutex_);
   ctx_ = ctx;
   // Replay whatever arrived while this worker was still rendering, in

@@ -1,20 +1,23 @@
 // Worker-process side of the socket transport backend.
 //
-// A SocketTransport lives inside one worker process and owns that worker's
-// single stream link to the supervisor (hub-and-spoke: rank-to-rank traffic
-// is routed by the parent, so P workers need P connections, not P²). Three
-// concerns run on it:
+// A SocketTransport lives inside one resident worker process and owns that
+// worker's single stream link to the supervisor (hub-and-spoke: rank-to-rank
+// traffic is routed by the parent, so P workers need P connections, not P²).
+// It outlives the rendering frames: each frame binds a fresh CommContext
+// between begin_frame() and end_frame(), around the supervisor's
+// kFrameStart/kFrameDone barrier. Three concerns run on it:
 //
 //  * submit() — the Transport interface: pack the stamped Message as a
 //    kData frame (SLP1-enveloped, CRC32C-checked) and write it out under
 //    the link's write lock;
-//  * a reader thread — unframes inbound traffic: kData frames become
-//    mailbox deposits for the local rank (the bounded mailbox pushes
-//    backpressure down into the kernel socket buffers), kPeerFailed frames
-//    poison the context so the compositing thread aborts with the same
-//    PeerFailedError the in-process runtime raises, and a supervisor EOF or
-//    reset is itself promoted to a failure — a silently dead parent can
-//    never wedge the worker;
+//  * a reader thread — unframes inbound traffic: kFrameStart rosters wake
+//    await_frame_start(); kData frames whose sender generation matches the
+//    roster become mailbox deposits for the local rank (the bounded mailbox
+//    pushes backpressure down into the kernel socket buffers); kPeerFailed
+//    frames poison the frame's context so the compositing thread aborts
+//    with the same PeerFailedError the in-process runtime raises; and a
+//    supervisor EOF or reset is itself promoted to a failure — a silently
+//    dead parent can never wedge the worker;
 //  * a heartbeat thread — every heartbeat_interval writes a kHeartbeat
 //    frame carrying the rank's current compositing stage, giving the
 //    supervisor per-link liveness (a SIGSTOPped or wedged worker goes
@@ -46,21 +49,14 @@ class SocketTransport final : public Transport {
     std::chrono::milliseconds heartbeat_interval{25};
     /// This worker's incarnation: stamped into the SLP1 envelope of every
     /// outbound frame so the supervisor can tell this process from its dead
-    /// predecessor on the same rank. Always 0 for single-frame (run()) use.
+    /// predecessor on the same rank.
     std::uint32_t generation = 0;
-    /// Sequence mode (Supervisor::run_sequence peer): the transport outlives
-    /// individual rendering frames — construct with ctx = nullptr, then bind
-    /// a fresh CommContext per frame via begin_frame()/end_frame() around
-    /// the kFrameStart/kFrameDone barrier.
-    bool sequence = false;
   };
 
-  /// `ctx` must outlive this transport (it is installed into
-  /// ctx->transport); `link` is the established connection to the
-  /// supervisor (kHello already sent by the caller). Call start() after
-  /// installation to launch the reader and heartbeat threads. Sequence mode
-  /// passes ctx = nullptr and binds per frame instead.
-  SocketTransport(CommContext* ctx, int rank, Fd link, Options opts);
+  /// `link` is the established connection to the supervisor (kHello
+  /// already sent by the caller). Call start() to launch the reader and
+  /// heartbeat threads.
+  SocketTransport(int rank, Fd link, Options opts);
   ~SocketTransport() override;
 
   [[nodiscard]] std::string_view name() const noexcept override { return opts_.backend; }
@@ -92,7 +88,7 @@ class SocketTransport final : public Transport {
   /// force-stops if the caller never did.
   void goodbye_and_wait(std::chrono::milliseconds drain);
 
-  // --- sequence mode -----------------------------------------------------
+  // --- frames ------------------------------------------------------------
 
   /// Block until the supervisor opens the next rendering frame. Returns the
   /// kFrameStart roster, or nullopt when the sequence is over (kShutdown)
@@ -100,22 +96,17 @@ class SocketTransport final : public Transport {
   /// clean case from the broken one.
   [[nodiscard]] std::optional<FrameRoster> await_frame_start(std::chrono::milliseconds deadline);
 
-  /// Bind this frame's CommContext: inbound kData/kPeerFailed start landing
-  /// in it. Between begin_frame and end_frame the reader thread may hold a
-  /// reference to `ctx`, so it must stay alive until end_frame returns.
+  /// Bind this frame's CommContext: installs a non-owning view of this
+  /// transport as ctx->transport, and inbound kData/kPeerFailed start
+  /// landing in it. Between begin_frame and end_frame the reader thread may
+  /// hold a reference to `ctx`, so it must stay alive until end_frame
+  /// returns.
   void begin_frame(CommContext* ctx);
 
   /// Close the frame: send kFrameDone (tag = frame, payload[0] = aborted)
   /// and unbind the context. After this returns the reader is guaranteed to
   /// never touch the frame's CommContext again — safe to destroy it.
   void end_frame(int frame, bool aborted);
-
-  /// Inbound frames dropped because they arrived between frames or carried
-  /// a peer generation older than the current roster (dead-incarnation
-  /// leftovers). Diagnostics only.
-  [[nodiscard]] std::uint64_t stale_rejects() const noexcept {
-    return stale_rejects_.load(std::memory_order_relaxed);
-  }
 
   /// True once the supervisor link died (EOF, reset, stream damage) — as
   /// opposed to an orderly kShutdown.
@@ -129,15 +120,14 @@ class SocketTransport final : public Transport {
   void heartbeat_loop();
   void stop_threads();
 
-  /// Guards ctx_ and roster_ in sequence mode: the reader holds it across a
-  /// delivery, end_frame takes it to unbind — so a frame's CommContext can
-  /// never be destroyed under an in-flight deposit. (A depositor blocked on
-  /// a full mailbox cannot wedge end_frame: failure poisoning lifts the
-  /// mailbox bound, and a clean frame drained its traffic.) Uncontended in
-  /// single-frame mode, where ctx_ is fixed for the transport's lifetime.
+  /// Guards ctx_ and roster_: the reader holds it across a delivery,
+  /// end_frame takes it to unbind — so a frame's CommContext can never be
+  /// destroyed under an in-flight deposit. (A depositor blocked on a full
+  /// mailbox cannot wedge end_frame: failure poisoning lifts the mailbox
+  /// bound, and a clean frame drained its traffic.)
   std::mutex ctx_mutex_;
-  CommContext* ctx_;
-  FrameRoster roster_;  ///< current frame's roster (sequence mode)
+  CommContext* ctx_ = nullptr;  ///< the bound frame's context, if any
+  FrameRoster roster_;          ///< current frame's roster
   /// Generation-checked kData/kPeerFailed that arrived after kFrameStart but
   /// before begin_frame bound the frame's context (a peer that finished
   /// rendering first); begin_frame replays them in arrival order.
@@ -149,7 +139,6 @@ class SocketTransport final : public Transport {
   std::mutex write_mutex_;  ///< serializes submit/heartbeat/report writes
   std::atomic<int> stage_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> stale_rejects_{0};
   std::atomic<bool> link_lost_{false};
 
   std::mutex state_mutex_;

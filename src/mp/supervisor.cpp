@@ -148,424 +148,11 @@ FrameRoster parse_roster(int frame, std::span<const std::byte> payload) {
   return roster;
 }
 
-SupervisorOutcome Supervisor::run(const SupervisorOptions& opts, const WorkerBody& body) {
-  if (opts.procs <= 0) throw TransportError("Supervisor: procs must be positive");
-
-  Fd listener = listen_at(opts.endpoint, opts.procs);
-  set_nonblocking(listener.get());
-  SupervisorOutcome out;
-  out.endpoint = bound_endpoint(listener, opts.endpoint);
-
-  const int procs = opts.procs;
-  std::vector<pid_t> pids(static_cast<std::size_t>(procs), -1);
-  std::vector<bool> reaped(static_cast<std::size_t>(procs), false);
-  const auto t0 = steady::now();
-
-  // Fork every worker before accepting anything: children inherit only the
-  // listener (closed immediately) and connect back with bounded backoff.
-  for (int r = 0; r < procs; ++r) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      const std::string err = std::strerror(errno);
-      for (int k = 0; k < r; ++k) (void)::kill(pids[static_cast<std::size_t>(k)], SIGKILL);
-      for (int k = 0; k < r; ++k) (void)::waitpid(pids[static_cast<std::size_t>(k)], nullptr, 0);
-      throw TransportError("fork: " + err);
-    }
-    if (pid == 0) {
-      listener.reset();
-      int code = kWorkerExitError;
-      try {
-        code = body(r, out.endpoint);
-      } catch (...) {
-        code = kWorkerExitError;
-      }
-      // _Exit: never unwind into the parent's atexit/static-destructor
-      // state from a forked image.
-      std::_Exit(code);
-    }
-    pids[static_cast<std::size_t>(r)] = pid;
-  }
-
-  std::vector<Link> ranks(static_cast<std::size_t>(procs));
-  for (Link& link : ranks) link.last_heard = t0;
-  std::vector<Link> pending;  // accepted, kHello not seen yet
-  int connected = 0;
-  // kData routed to a rank that has not completed its kHello yet: a fast
-  // worker may send stage-0 data while its partner is still connecting.
-  // Dropping such a frame would wedge the partner forever (there is no
-  // retransmit below the supervisor), so park it and deliver at promotion.
-  std::vector<std::deque<std::vector<std::byte>>> parked(static_cast<std::size_t>(procs));
-
-  const auto rank_link = [&](int r) -> Link& { return ranks[static_cast<std::size_t>(r)]; };
-
-  const auto observe = [&](ProtocolEvent::Kind kind, int r, int count = 0,
-                           std::string detail = {}) {
-    if (!opts.observer) return;
-    ProtocolEvent ev;
-    ev.kind = kind;
-    ev.rank = r;
-    ev.count = count;
-    ev.detail = std::move(detail);
-    opts.observer(ev);
-  };
-
-  // Record a failure and broadcast kPeerFailed: every survivor aborts with
-  // PeerFailedError through its poisoned context, exactly as in-process
-  // poisoning does. The failed worker's link is left untouched — a worker
-  // announcing its own (primary) failure stays connected to ship its
-  // failure report and snapshots before its goodbye.
-  const auto mark_failed = [&](int r, const std::string& reason) {
-    Link& w = rank_link(r);
-    if (w.failed || w.done) return;  // first failure wins; finished ranks are safe
-    w.failed = true;
-    out.failures.push_back({r, w.stage, reason});
-    observe(ProtocolEvent::Kind::kFailureRecorded, r, 0, reason);
-
-    Frame pf;
-    pf.kind = FrameKind::kPeerFailed;
-    pf.source = r;
-    pf.tag = w.stage;
-    pf.payload.resize(reason.size());
-    std::memcpy(pf.payload.data(), reason.data(), reason.size());
-    const std::vector<std::byte> wire = pack_frame(pf);
-    for (int o = 0; o < procs; ++o) {
-      Link& peer = rank_link(o);
-      if (o == r || peer.failed || peer.closed || !peer.fd.valid()) continue;
-      peer.outbound.push_back(wire);
-    }
-  };
-
-  // Hard failure: the worker is dead, wedged or damaged — record/broadcast,
-  // then make its death real and drop the link.
-  const auto fail = [&](int r, const std::string& reason) {
-    Link& w = rank_link(r);
-    if (w.done && !w.failed) return;  // finished ranks are safe
-    mark_failed(r, reason);
-    // A silent worker may be SIGSTOPped, not dead — make the state real so
-    // waitpid always completes.
-    if (!reaped[static_cast<std::size_t>(r)]) (void)::kill(pids[static_cast<std::size_t>(r)], SIGKILL);
-    w.fd.reset();
-    w.closed = true;
-    w.outbound.clear();
-    parked[static_cast<std::size_t>(r)].clear();
-  };
-
-  // Attribute a dead link to its child's real fate: the kernel closes the
-  // socket during process exit, so the child is (nearly always) reapable by
-  // the time EOF arrives — wait briefly for the authoritative status.
-  const auto exit_provenance = [&](int r) -> std::optional<std::string> {
-    const std::size_t i = static_cast<std::size_t>(r);
-    if (reaped[i]) return std::nullopt;
-    for (int spin = 0; spin < 50; ++spin) {
-      int status = 0;
-      if (::waitpid(pids[i], &status, WNOHANG) == pids[i]) {
-        reaped[i] = true;
-        if (WIFSIGNALED(status)) {
-          return "killed by signal " + std::to_string(WTERMSIG(status)) +
-                 signal_name(WTERMSIG(status));
-        }
-        if (WIFEXITED(status)) {
-          const int code = WEXITSTATUS(status);
-          if (code != kWorkerExitClean && code != kWorkerExitAborted) {
-            return "worker exited with code " + std::to_string(code);
-          }
-          return std::nullopt;  // clean/secondary exit — not a provenance
-        }
-        return std::nullopt;
-      }
-      ::usleep(10'000);
-    }
-    return std::nullopt;
-  };
-
-  const auto handle_frame = [&](int r, Frame&& f) {
-    Link& w = rank_link(r);
-    w.last_heard = steady::now();
-    switch (f.kind) {
-      case FrameKind::kData: {
-        if (f.dest < 0 || f.dest >= procs) break;  // malformed: drop
-        Link& d = rank_link(f.dest);
-        // A failed/closed destination cannot take delivery; the sender
-        // learns of the death through the kPeerFailed broadcast instead.
-        if (d.failed || d.closed) break;
-        if (!d.fd.valid()) {
-          observe(ProtocolEvent::Kind::kParked, f.dest);
-          parked[static_cast<std::size_t>(f.dest)].push_back(pack_frame(f));
-          break;
-        }
-        d.outbound.push_back(pack_frame(f));
-        break;
-      }
-      case FrameKind::kHeartbeat:
-        w.stage = f.tag;
-        break;
-      case FrameKind::kReport:
-        out.reports.push_back({r, f.tag, std::move(f.payload)});
-        break;
-      case FrameKind::kGoodbye:
-        w.done = true;
-        observe(ProtocolEvent::Kind::kGoodbye, r);
-        break;
-      case FrameKind::kFailed: {
-        // The worker announces its own primary failure (an exception in its
-        // compositing body). Broadcast to the survivors but keep the link:
-        // the worker ships its failure report and snapshots next.
-        w.stage = f.tag;
-        mark_failed(r, std::string(reinterpret_cast<const char*>(f.payload.data()),
-                                   f.payload.size()));
-        break;
-      }
-      case FrameKind::kHello:
-        break;  // duplicate hello: harmless
-      default:
-        fail(r, "protocol violation: unexpected frame kind from worker");
-        break;
-    }
-  };
-
-  const auto link_down = [&](int r, const std::string& reason) {
-    Link& w = rank_link(r);
-    if (w.done) {  // clean: the worker exited after its goodbye
-      w.fd.reset();
-      w.closed = true;
-      return;
-    }
-    const std::optional<std::string> provenance = exit_provenance(r);
-    fail(r, provenance ? *provenance : reason);
-  };
-
-  bool shutdown_broadcast = false;
-  std::optional<steady::time_point> drain_start;
-
-  for (;;) {
-    const auto now = steady::now();
-
-    // Reap any child that exited on its own; signal deaths and bad exit
-    // codes become failures even when the socket EOF has not surfaced yet.
-    for (int r = 0; r < procs; ++r) {
-      const std::size_t i = static_cast<std::size_t>(r);
-      if (reaped[i]) continue;
-      int status = 0;
-      if (::waitpid(pids[i], &status, WNOHANG) != pids[i]) continue;
-      reaped[i] = true;
-      Link& w = rank_link(r);
-      if (WIFSIGNALED(status)) {
-        fail(r, "killed by signal " + std::to_string(WTERMSIG(status)) +
-                    signal_name(WTERMSIG(status)));
-      } else if (WIFEXITED(status)) {
-        const int code = WEXITSTATUS(status);
-        if (code == kWorkerExitClean) {
-          if (!w.done) fail(r, "exited before sending goodbye");
-        } else if (code != kWorkerExitAborted) {
-          fail(r, "worker exited with code " + std::to_string(code));
-        }
-        // kWorkerExitAborted: a secondary casualty of an already-recorded
-        // failure; its own failure report (if any) arrived as kReport.
-      }
-    }
-
-    // A worker that never connected within the accept deadline failed
-    // before reaching the compositing phase.
-    if (connected < procs && now - t0 > opts.accept_deadline) {
-      for (int r = 0; r < procs; ++r) {
-        if (!rank_link(r).fd.valid() && !rank_link(r).failed) {
-          fail(r, "never connected within the accept deadline (" +
-                      std::to_string(opts.accept_deadline.count()) + " ms)");
-        }
-      }
-      pending.clear();
-      connected = procs;
-    }
-
-    // Heartbeat watchdog: a connected, unfinished worker whose last frame
-    // is older than the timeout is promoted to failed (SIGSTOP, livelock).
-    for (int r = 0; r < procs; ++r) {
-      Link& w = rank_link(r);
-      if (!w.fd.valid() || w.done || w.failed) continue;
-      const auto silent =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - w.last_heard);
-      if (silent > opts.heartbeat_timeout) {
-        fail(r, "heartbeat timeout: silent for " + std::to_string(silent.count()) + " ms");
-      }
-    }
-
-    bool all_settled = true;
-    for (int r = 0; r < procs; ++r) {
-      if (!rank_link(r).done && !rank_link(r).failed) all_settled = false;
-    }
-    if (all_settled) {
-      if (!shutdown_broadcast) {
-        shutdown_broadcast = true;
-        drain_start = now;
-        observe(ProtocolEvent::Kind::kShutdownBroadcast, -1);
-        Frame sd;
-        sd.kind = FrameKind::kShutdown;
-        const std::vector<std::byte> wire = pack_frame(sd);
-        for (int r = 0; r < procs; ++r) {
-          Link& w = rank_link(r);
-          if (w.fd.valid() && !w.closed) w.outbound.push_back(wire);
-        }
-      }
-      bool all_closed = true;
-      for (int r = 0; r < procs; ++r) {
-        if (rank_link(r).fd.valid() && !rank_link(r).closed) all_closed = false;
-      }
-      if (all_closed || now - *drain_start > opts.drain_deadline) break;
-    }
-
-    // Poll set: listener while workers are still due, every pending
-    // connection, every open worker link (write interest only when queued).
-    std::vector<pollfd> pfds;
-    std::vector<int> who;  // parallel: -1 listener, -(2+k) pending[k], else rank
-    if (connected < procs) {
-      pfds.push_back({listener.get(), POLLIN, 0});
-      who.push_back(-1);
-    }
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      pfds.push_back({pending[k].fd.get(), POLLIN, 0});
-      who.push_back(-(2 + static_cast<int>(k)));
-    }
-    for (int r = 0; r < procs; ++r) {
-      Link& w = rank_link(r);
-      if (!w.fd.valid() || w.closed) continue;
-      const short events =
-          static_cast<short>(POLLIN | (w.outbound.empty() ? 0 : POLLOUT));
-      pfds.push_back({w.fd.get(), events, 0});
-      who.push_back(r);
-    }
-    if (::poll(pfds.data(), pfds.size(), 20) < 0 && errno != EINTR) {
-      throw TransportError(std::string("poll: ") + std::strerror(errno));
-    }
-
-    std::vector<std::size_t> dead_pending;
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      const short revents = pfds[i].revents;
-      if (revents == 0) continue;
-      const int id = who[i];
-      if (id == -1) {
-        // Accept everything queued on the listener.
-        for (;;) {
-          Fd conn(::accept(listener.get(), nullptr, nullptr));
-          if (!conn.valid()) break;  // EAGAIN et al.: done for this round
-          set_nonblocking(conn.get());
-          Link link;
-          link.fd = std::move(conn);
-          link.last_heard = now;
-          pending.push_back(std::move(link));
-        }
-        continue;
-      }
-      if (id <= -2) {
-        // A pending connection: the first frame must be kHello naming the
-        // worker's rank; any queued follow-up frames route immediately.
-        const std::size_t k = static_cast<std::size_t>(-id - 2);
-        Link& p = pending[k];
-        int hello_rank = -1;
-        bool down = false;
-        pump_in(
-            p,
-            [&](Frame&& f) {
-              if (hello_rank < 0) {
-                if (f.kind != FrameKind::kHello || f.source < 0 || f.source >= procs ||
-                    rank_link(f.source).fd.valid()) {
-                  down = true;  // protocol violation or duplicate rank
-                  return;
-                }
-                hello_rank = f.source;
-                return;
-              }
-              handle_frame(hello_rank, std::move(f));
-            },
-            [&](const std::string&) { down = true; });
-        if (down) {
-          dead_pending.push_back(k);  // rank unknown: the accept deadline
-        } else if (hello_rank >= 0) {  // or waitpid attributes the death
-          Link& w = rank_link(hello_rank);
-          w.fd = std::move(p.fd);
-          w.reader = std::move(p.reader);
-          w.last_heard = now;
-          observe(ProtocolEvent::Kind::kPromoted, hello_rank);
-          auto& backlog = parked[static_cast<std::size_t>(hello_rank)];
-          if (!backlog.empty()) {
-            observe(ProtocolEvent::Kind::kBacklogReplayed, hello_rank,
-                    static_cast<int>(backlog.size()));
-          }
-          for (auto& wire : backlog) w.outbound.push_back(std::move(wire));
-          backlog.clear();
-          // Replay failure history: a peer that died before this worker
-          // finished connecting was broadcast to valid links only, so the
-          // late joiner would otherwise wait on a dead rank forever.
-          int replayed = 0;
-          for (const WorkerFailure& wf : out.failures) {
-            if (wf.rank == hello_rank) continue;
-            ++replayed;
-            Frame pf;
-            pf.kind = FrameKind::kPeerFailed;
-            pf.source = wf.rank;
-            pf.tag = wf.stage;
-            pf.payload.resize(wf.what.size());
-            std::memcpy(pf.payload.data(), wf.what.data(), wf.what.size());
-            w.outbound.push_back(pack_frame(pf));
-          }
-          if (replayed > 0) {
-            observe(ProtocolEvent::Kind::kFailureReplayed, hello_rank, replayed);
-          }
-          ++connected;
-          dead_pending.push_back(k);
-        }
-        continue;
-      }
-      const int r = id;
-      Link& w = rank_link(r);
-      if (!w.fd.valid()) continue;  // failed earlier in this round
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        pump_in(
-            w, [&](Frame&& f) { handle_frame(r, std::move(f)); },
-            [&](const std::string& reason) { link_down(r, reason); });
-      }
-      if (w.fd.valid() && !w.closed && (revents & POLLOUT) != 0) {
-        if (!flush_out(w)) link_down(r, "connection reset while writing");
-      }
-    }
-    // Remove consumed pending slots, highest index first.
-    for (auto it = dead_pending.rbegin(); it != dead_pending.rend(); ++it) {
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-
-    // Opportunistic flush: frames enqueued during this round almost always
-    // fit the socket buffer — forwarding them now instead of waiting for
-    // the next POLLOUT keeps per-hop routing latency off the poll timeout.
-    for (int r = 0; r < procs; ++r) {
-      Link& w = rank_link(r);
-      if (!w.fd.valid() || w.closed || w.outbound.empty()) continue;
-      if (!flush_out(w)) link_down(r, "connection reset while writing");
-    }
-  }
-
-  // Final reap: SIGKILL anything still alive past the drain deadline.
-  for (int r = 0; r < procs; ++r) {
-    const std::size_t i = static_cast<std::size_t>(r);
-    if (reaped[i]) continue;
-    int status = 0;
-    if (::waitpid(pids[i], &status, WNOHANG) == pids[i]) {
-      reaped[i] = true;
-      continue;
-    }
-    (void)::kill(pids[i], SIGKILL);
-    (void)::waitpid(pids[i], &status, 0);
-    reaped[i] = true;
-  }
-
-  out.wall_ms = std::chrono::duration<double, std::milli>(steady::now() - t0).count();
-  return out;
-}
-
-// Sequence mode: the same hub-and-spoke router, but workers stay resident
-// across `seq.frames` rendering frames behind kFrameStart/kFrameDone
-// barriers, and a rank whose process dies is resurrected at the next frame
-// boundary — fork with generation+1 under jittered backoff — instead of
-// being lost for the rest of the run. The legacy single-frame protocol in
-// run() above is deliberately untouched.
+// The hub-and-spoke router: workers stay resident across `seq.frames`
+// rendering frames behind kFrameStart/kFrameDone barriers, and a rank whose
+// process dies is resurrected at the next frame boundary — fork with
+// generation+1 under jittered backoff — instead of being lost for the rest
+// of the run. A single-frame run is a one-frame sequence.
 SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
                                          const SequenceOptions& seq,
                                          const SequenceWorkerBody& body) {
@@ -587,10 +174,10 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
   std::vector<int> respawns_used(np, 0);
   std::vector<bool> demoted(np, false);
   std::vector<bool> dead(np, false);  // process gone; resurrection candidate
-  // Reaped with exit code 0 before its goodbye was read off the socket. In
-  // sequence mode kShutdown precedes the goodbyes, so a worker may exit
-  // while its farewell still sits in the socket buffer — judgment on those
-  // ranks is deferred until the link EOF has drained the buffered frames.
+  // Reaped with exit code 0 before its goodbye was read off the socket.
+  // kShutdown precedes the goodbyes, so a worker may exit while its
+  // farewell still sits in the socket buffer — judgment on those ranks is
+  // deferred until the link EOF has drained the buffered frames.
   std::vector<bool> clean_exit(np, false);
   std::vector<std::optional<steady::time_point>> respawn_at(np);
   std::vector<std::optional<steady::time_point>> rejoin_by(np);
@@ -817,7 +404,7 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         const int code = WEXITSTATUS(status);
         if (code == kWorkerExitClean) {
           // A clean exit can be reaped before its goodbye is read off the
-          // socket (kShutdown precedes the goodbyes in sequence mode).
+          // socket (kShutdown precedes the goodbyes).
           // While the link is still live, let the EOF path drain the
           // buffered frames and pass judgment; only a link already gone
           // without a goodbye is a certain violation.
@@ -1099,9 +686,9 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
           }
           for (auto& wire : backlog) w.outbound.push_back(std::move(wire));
           backlog.clear();
-          // No failure-history replay here: promotions only happen between
-          // frames, and the next kFrameStart roster carries everything a
-          // late joiner missed (that *is* the replay in sequence mode).
+          // No failure-history replay: a frame opens only once every live
+          // rank is promoted, and its kFrameStart roster carries everything
+          // a late joiner missed.
           // A pending rejoin deadline marks this promotion as a respawned
           // incarnation arriving (generation-0 first joins never set one).
           if (rejoin_by[hi]) ++out.respawns;

@@ -1,29 +1,39 @@
 // Supervisor: the parent process of a multi-process (socket backend) run.
 //
 // The supervisor owns the hub of the hub-and-spoke topology. One call to
-// Supervisor::run
+// Supervisor::run_sequence
 //
 //  1. listens at the configured endpoint (Unix socket or TCP loopback, with
 //     ephemeral-port resolution),
-//  2. forks one worker process per rank — workers run the caller-provided
-//     body, which connects back with bounded backoff and executes the
-//     compositing SPMD function over a SocketTransport,
+//  2. forks one resident worker process per rank — workers run the
+//     caller-provided body, which connects back with bounded backoff, says
+//     kHello with its incarnation generation, and runs one compositing SPMD
+//     frame over a SocketTransport per kFrameStart,
 //  3. routes kData frames rank-to-rank in a single nonblocking poll loop
 //     (per-link incremental FrameReaders; outbound queues resume partial
-//     writes), preserving per-channel FIFO order,
+//     writes), preserving per-channel FIFO order, and gates every frame
+//     with a kFrameStart roster broadcast and a kFrameDone barrier,
 //  4. watches liveness: a worker whose heartbeats go silent past
 //     heartbeat_timeout, whose connection resets or EOFs before its
 //     kGoodbye, or that a SIGKILL tears down, is promoted to a *real*
-//     failure — the supervisor broadcasts kPeerFailed so every survivor
-//     aborts with the same PeerFailedError the in-process runtime raises
-//     (feeding the existing snapshot/repair/degrade machinery), and
-//  5. reaps children with waitpid, mapping exit status onto the failure
+//     failure — mid-frame the supervisor broadcasts kPeerFailed so every
+//     survivor aborts with the same PeerFailedError the in-process runtime
+//     raises (feeding the existing snapshot/repair/degrade machinery),
+//  5. resurrects a dead rank at the next frame boundary under the respawn
+//     policy (fork with generation+1, jittered backoff, circuit breaker),
+//     and refuses any frame that carries a dead incarnation's generation,
+//     and
+//  6. reaps children with waitpid, mapping exit status onto the failure
 //     record (killed-by-signal provenance included), SIGKILLing stragglers
 //     past the drain deadline so the parent always terminates.
 //
+// A single-frame run is a one-frame sequence: no resurrection follows a
+// death in the last frame.
+//
 // The supervisor never interprets report payloads: kReport frames are
-// collected verbatim for the pvr layer, which deserializes results,
-// snapshots and failure details and finishes the frame from the survivors.
+// collected verbatim per frame for the pvr layer, which deserializes
+// results, snapshots and failure details and finishes each frame from the
+// survivors.
 #pragma once
 
 #include <chrono>
@@ -57,7 +67,6 @@ struct ProtocolEvent {
     kParked,             ///< kData for a not-yet-promoted rank parked
     kPromoted,           ///< kHello accepted; rank joined the hub
     kBacklogReplayed,    ///< parked frames moved to the fresh link (count)
-    kFailureReplayed,    ///< failure history replayed to a late joiner (count)
     kFailureRecorded,    ///< a real failure recorded + kPeerFailed broadcast
     kShutdownBroadcast,  ///< kShutdown queued to every open link
     kGoodbye,            ///< kGoodbye received; rank is done
@@ -70,7 +79,7 @@ struct ProtocolEvent {
   };
   Kind kind = Kind::kParked;
   int rank = -1;       ///< the rank the event is about
-  int count = 0;       ///< replay events: how many frames were replayed
+  int count = 0;       ///< kind-specific number (see each kind)
   std::string detail;  ///< kFailureRecorded: the provenance string
 };
 
@@ -104,19 +113,11 @@ struct WorkerReport {
   std::vector<std::byte> payload;
 };
 
-struct SupervisorOutcome {
-  std::vector<WorkerFailure> failures;  ///< real failures, in detection order
-  std::vector<WorkerReport> reports;    ///< all report frames, arrival order
-  Endpoint endpoint;                    ///< resolved listen address
-  double wall_ms = 0.0;                 ///< fork-to-drain wall clock
-  [[nodiscard]] bool clean() const noexcept { return failures.empty(); }
-};
-
-/// Respawn knobs for the sequence supervisor. A dead child is forked again
-/// at the next frame boundary under capped, jittered exponential backoff
-/// (mp::backoff_delay); after `max_respawns_per_rank` resurrections the
-/// circuit breaker opens and the rank is permanently demoted — subsequent
-/// frames finish degraded over the survivors, the existing bottom rung.
+/// Respawn knobs. A dead child is forked again at the next frame boundary
+/// under capped, jittered exponential backoff (mp::backoff_delay); after
+/// `max_respawns_per_rank` resurrections the circuit breaker opens and the
+/// rank is permanently demoted — subsequent frames finish degraded over the
+/// survivors, the existing bottom rung.
 struct RespawnPolicy {
   int max_respawns_per_rank = 2;
   std::chrono::milliseconds base_delay{5};  ///< first backoff step (jittered)
@@ -178,29 +179,23 @@ struct FrameRoster {
 
 class Supervisor {
  public:
-  /// Runs in the forked child with its rank and the (resolved) endpoint to
-  /// connect back to; returns the worker's exit code. Never returns to the
-  /// caller's code path — the child exits with the returned code.
-  using WorkerBody = std::function<int(int rank, const Endpoint& endpoint)>;
-
-  /// Sequence-mode body: also told which incarnation it is, so its hello
-  /// and every envelope it emits carry the generation.
+  /// Runs in the forked child with its rank, its incarnation generation
+  /// (its hello and every envelope it emits carry it) and the (resolved)
+  /// endpoint to connect back to; returns the worker's exit code. Never
+  /// returns to the caller's code path — the child exits with the returned
+  /// code.
   using SequenceWorkerBody =
       std::function<int(int rank, std::uint32_t generation, const Endpoint& endpoint)>;
 
-  /// Fork `opts.procs` workers and supervise them to completion. Throws
+  /// Fork `opts.procs` resident workers and supervise them across
+  /// `seq.frames` rendering frames, gated by kFrameStart/kFrameDone
+  /// barriers. A worker that dies mid-frame leaves the frame to the
+  /// in-frame recovery ladder (the survivors abort and ship evidence); at
+  /// the frame boundary the supervisor resurrects the rank under
+  /// `seq.respawn` — fork with generation+1, jittered backoff, circuit
+  /// breaker — so the next frame runs at full strength again. Throws
   /// TransportError only for supervisor-local setup failures (cannot
   /// listen, fork failed); per-worker trouble is reported in the outcome.
-  [[nodiscard]] static SupervisorOutcome run(const SupervisorOptions& opts,
-                                             const WorkerBody& body);
-
-  /// Multi-frame sequence mode: workers stay resident across `seq.frames`
-  /// rendering frames, gated by kFrameStart/kFrameDone barriers. A worker
-  /// that dies mid-frame leaves the frame to the in-frame recovery ladder
-  /// (the survivors abort and ship evidence exactly as under run()); at the
-  /// frame boundary the supervisor resurrects the rank under `seq.respawn`
-  /// — fork with generation+1, jittered backoff, circuit breaker — so the
-  /// next frame runs at full strength again.
   [[nodiscard]] static SequenceOutcome run_sequence(const SupervisorOptions& opts,
                                                     const SequenceOptions& seq,
                                                     const SequenceWorkerBody& body);

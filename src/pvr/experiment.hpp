@@ -31,8 +31,6 @@ class KeptRenderers;  // render/raycast.hpp
 
 namespace slspvr::pvr {
 
-struct ProcOptions;  // pvr/proc_runner.hpp — multi-process (socket) backend
-
 struct ExperimentConfig {
   vol::DatasetKind dataset = vol::DatasetKind::EngineLow;
   double volume_scale = 1.0;   ///< 1.0 = the paper's 256^3-class volumes
@@ -85,11 +83,12 @@ struct FaultReport {
   /// all attempts — nonzero heals with `faulted == false` mean drops or
   /// corruption occurred and were repaired without losing the frame.
   mp::RetryStats retry_stats;
-  /// Sequence mode (run_compositing_sequence): resurrection accounting.
-  /// `respawns` counts successful mid-sequence resurrections; `generations`
-  /// is the final per-rank incarnation number (0 = never died);
-  /// `stale_rejects` counts frames refused for carrying a dead
-  /// incarnation's generation. All zero/empty for single-frame runs.
+  /// run_compositing_sequence's resurrection accounting. `respawns` counts
+  /// successful mid-sequence resurrections; `generations` is the final
+  /// per-rank incarnation number (0 = never died); `stale_rejects` counts
+  /// frames refused for carrying a dead incarnation's generation. All
+  /// zero/empty for the in-process backends, and `respawns` is 0 for a
+  /// one-frame sequence (no resurrection follows its last frame).
   int respawns = 0;
   std::vector<std::uint32_t> generations;
   std::uint64_t stale_rejects = 0;
@@ -158,13 +157,6 @@ class Experiment {
   /// behaviourally identical to run().
   [[nodiscard]] FtMethodResult run_ft(const core::Compositor& method,
                                       const mp::FaultPlan& faults) const;
-
-  /// Multi-process variant: the compositing phase runs in real worker
-  /// processes over the socket backend (defined in pvr/proc_runner.cpp).
-  /// Clean runs produce a final frame byte-identical to run()'s; real
-  /// worker deaths are finished from the survivors with a FaultReport.
-  [[nodiscard]] FtMethodResult run_procs(const core::Compositor& method,
-                                         const ProcOptions& opts) const;
 
  private:
   ExperimentConfig config_;

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -35,9 +34,9 @@ constexpr int kReportState = 1;      ///< counters + traffic records + wall cloc
 constexpr int kReportImage = 2;      ///< rank 0's gathered final frame
 constexpr int kReportFailure = 3;    ///< stage, primary flag, reason
 constexpr int kReportSnapshots = 4;  ///< retained per-stage partials
-constexpr int kReportSubimage = 5;   ///< sequence mode, demoted roster: the
-                                     ///< rank's rendered subimage (the parent
-                                     ///< folds the frame out from these)
+constexpr int kReportSubimage = 5;   ///< demoted roster: the rank's rendered
+                                     ///< subimage (the parent folds the frame
+                                     ///< out from these)
 
 /// Execute a planted process-level crash. kExit does not return.
 void trigger_crash(const ProcCrash& crash) {
@@ -102,93 +101,6 @@ void ship_failure(mp::SocketTransport& sock, int stage, bool primary,
   }
 }
 
-/// The forked child's whole life. Mirrors run_attempt's SPMD body exactly —
-/// same composite + gather_final calls — so a clean multi-process frame is
-/// byte-identical to the in-process one.
-int worker_main(int rank, const mp::Endpoint& endpoint, const core::Compositor& method,
-                const std::vector<img::Image>& subimages, const core::SwapOrder& order,
-                const ProcOptions& opts) {
-  mp::Fd link;
-  try {
-    link = mp::connect_with_backoff(endpoint, opts.connect, rank);
-  } catch (...) {
-    return mp::kWorkerExitConnect;  // typed RetryExhaustedError upstream
-  }
-
-  try {
-    {
-      mp::Frame hello;
-      hello.kind = mp::FrameKind::kHello;
-      hello.source = rank;
-      mp::send_all(link.get(), mp::pack_frame(hello));
-    }
-
-    const int ranks = static_cast<int>(subimages.size());
-    mp::CommContext ctx(ranks);
-    ctx.mailboxes[static_cast<std::size_t>(rank)].set_capacity(opts.inbox_capacity);
-    mp::SocketTransport::Options topts;
-    topts.backend = opts.transport;
-    topts.heartbeat_interval = opts.heartbeat_interval;
-    auto transport =
-        std::make_unique<mp::SocketTransport>(&ctx, rank, std::move(link), std::move(topts));
-    mp::SocketTransport* sock = transport.get();
-    ctx.transport = std::move(transport);
-    ctx.stage_observer = [sock, &opts](int r, int stage) {
-      sock->note_stage(stage);
-      if (opts.crash && opts.crash->rank == r && opts.crash->stage == stage) {
-        // A *real* crash, not an injected exception: the process dies (or
-        // goes silent) mid-frame and the supervisor finds out the hard way.
-        trigger_crash(*opts.crash);
-      }
-    };
-    sock->start();
-
-    // This process IS one rank: one explicit engine context for its frame.
-    core::EngineConfig econfig;
-    if (opts.workers_per_rank > 0) econfig.workers_per_rank = opts.workers_per_rank;
-    core::EngineContext engine(econfig);
-
-    SnapshotStore store(ranks);
-    mp::Comm comm(&ctx, rank);
-    core::Counters counters;
-    img::Image local = subimages[static_cast<std::size_t>(rank)];  // methods mutate
-
-    try {
-      const RetentionGuard retention(&store);
-      const auto t0 = std::chrono::steady_clock::now();
-      const core::Ownership owned = method.composite(comm, local, order, counters, engine);
-      img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      ship_state(*sock, rank, ctx, counters, wall_ms);
-      if (rank == 0) {
-        ByteWriter w;
-        write_image(w, gathered);
-        sock->send_report(kReportImage, w.take());
-      }
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitClean;
-    } catch (const mp::PeerFailedError& e) {
-      // Secondary casualty: a peer's already-known death aborted this rank.
-      // Ship the retained partials so the supervisor can repair mid-frame.
-      ship_failure(*sock, ctx.trace.stage(rank), /*primary=*/false, e.what(), store, rank);
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitAborted;
-    } catch (const std::exception& e) {
-      // Primary failure of this rank: announce it (the supervisor broadcasts
-      // kPeerFailed so the survivors abort), then ship the evidence.
-      const int stage = ctx.trace.stage(rank);
-      sock->announce_failure(stage, e.what());
-      ship_failure(*sock, stage, /*primary=*/true, e.what(), store, rank);
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitError;
-    }
-  } catch (...) {
-    return mp::kWorkerExitError;
-  }
-}
-
 mp::Endpoint make_endpoint(const ProcOptions& opts) {
   if (opts.endpoint_override) return mp::parse_endpoint(*opts.endpoint_override);
   mp::Endpoint ep;
@@ -219,8 +131,7 @@ struct WorkerFailureReport {
   std::string what;
 };
 
-/// Everything the parent can decode out of one batch of worker reports
-/// (one full run, or one frame of a sequence).
+/// Everything the parent can decode out of one frame's worker reports.
 struct DecodedReports {
   std::vector<core::Counters> counters;
   std::vector<bool> have_state;
@@ -229,7 +140,7 @@ struct DecodedReports {
   std::vector<WorkerFailureReport> worker_failures;
   SnapshotStore store;
   mp::TrafficTrace trace;
-  /// kReportSubimage per rank (sequence mode, demoted roster only).
+  /// kReportSubimage per rank (demoted roster only).
   std::vector<std::optional<img::Image>> subimages;
 
   explicit DecodedReports(int ranks)
@@ -304,8 +215,6 @@ DecodedReports decode_reports(const std::vector<mp::WorkerReport>& reports, int 
   return dec;
 }
 
-// ---- sequence mode ------------------------------------------------------
-
 /// The camera for frame `f` of a sequence: the base view stepped per frame,
 /// exactly as examples/rotation_sweep steps views. Pure, so a respawned
 /// worker derives the same view as everyone else.
@@ -369,25 +278,13 @@ img::Image render_one_brick(const vol::Dataset& dataset, const ExperimentConfig&
   return sub;
 }
 
-/// Non-owning Transport adapter: a sequence worker's SocketTransport
-/// outlives the per-frame CommContext, but CommContext::transport owns its
-/// pointee — so each frame installs one of these instead.
-class BorrowedTransport final : public mp::Transport {
- public:
-  explicit BorrowedTransport(mp::SocketTransport* inner) : inner_(inner) {}
-  [[nodiscard]] std::string_view name() const noexcept override { return inner_->name(); }
-  [[nodiscard]] bool shared_memory() const noexcept override { return false; }
-  void submit(int dest, mp::Message msg) override { inner_->submit(dest, std::move(msg)); }
-
- private:
-  mp::SocketTransport* inner_;  ///< not owned; outlives every frame
-};
-
-/// A sequence worker's whole life (any incarnation): connect, hello with the
+/// A worker's whole life (any incarnation): connect, hello with the
 /// generation, then loop kFrameStart -> render own brick -> composite ->
 /// kFrameDone until the supervisor says kShutdown. Every frame builds a
 /// fresh CommContext, so per-channel seq spaces restart cleanly per frame
-/// and per generation.
+/// and per generation. The composite and gather calls are run_compositing's
+/// SPMD body exactly, so a clean frame is byte-identical to the in-process
+/// one.
 int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint& endpoint,
                          const core::Compositor& method, const vol::Dataset& dataset,
                          const ExperimentConfig& base, const SequenceProcOptions& opts) {
@@ -411,15 +308,13 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
     topts.backend = opts.proc.transport;
     topts.heartbeat_interval = opts.proc.heartbeat_interval;
     topts.generation = generation;
-    topts.sequence = true;
-    mp::SocketTransport sock(/*ctx=*/nullptr, rank, std::move(link), std::move(topts));
+    mp::SocketTransport sock(rank, std::move(link), std::move(topts));
     sock.start();
 
-    // One explicit engine context for this rank, reused across the whole
-    // frame sequence — scratch warms up on frame 0 and stays hot.
-    core::EngineConfig econfig;
-    if (opts.proc.workers_per_rank > 0) econfig.workers_per_rank = opts.proc.workers_per_rank;
-    core::EngineContext engine(econfig);
+    // One explicit engine context for this rank, built from the same
+    // EngineConfig the thread backend gives every rank and reused across
+    // the whole frame sequence — scratch warms up on frame 0 and stays hot.
+    core::EngineContext engine(base.engine);
 
     const int ranks = base.ranks;
     const core::FoldCompositor folded_method(method);
@@ -451,7 +346,6 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
 
       mp::CommContext ctx(ranks);
       ctx.mailboxes[static_cast<std::size_t>(rank)].set_capacity(opts.proc.inbox_capacity);
-      ctx.transport = std::make_unique<BorrowedTransport>(&sock);
       ctx.stage_observer = [&sock, &opts, frame](int r, int stage) {
         sock.note_stage(stage);
         for (const ProcCrash& crash : opts.crashes) {
@@ -506,80 +400,6 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
 
 }  // namespace
 
-FtMethodResult run_compositing_procs(const core::Compositor& method,
-                                     const std::vector<img::Image>& subimages,
-                                     const core::SwapOrder& order, const ProcOptions& opts,
-                                     const core::CostModel& model) {
-  const int ranks = static_cast<int>(subimages.size());
-  if (ranks <= 0) throw std::invalid_argument("run_compositing_procs: no subimages");
-
-  mp::SupervisorOptions sup;
-  sup.endpoint = make_endpoint(opts);
-  sup.procs = ranks;
-  sup.heartbeat_timeout = opts.heartbeat_timeout;
-  sup.accept_deadline = opts.accept_deadline;
-  sup.drain_deadline = opts.drain_deadline;
-
-  const mp::SupervisorOutcome outcome = mp::Supervisor::run(
-      sup, [&](int rank, const mp::Endpoint& at) {
-        return worker_main(rank, at, method, subimages, order, opts);
-      });
-  if (sup.endpoint.kind == mp::Endpoint::Kind::kUnix) (void)::unlink(sup.endpoint.path.c_str());
-
-  DecodedReports dec = decode_reports(outcome.reports, ranks);
-
-  FtMethodResult out;
-  out.report.retry_stats += dec.trace.retry_stats();
-
-  if (outcome.clean()) {
-    if (!dec.final_image ||
-        !std::all_of(dec.have_state.begin(), dec.have_state.end(), [](bool b) { return b; })) {
-      throw mp::TransportError(
-          "run_compositing_procs: clean supervisor outcome but incomplete worker reports");
-    }
-    MethodResult& result = out.result;
-    result.method = std::string(method.name());
-    result.per_rank = std::move(dec.counters);
-    result.times = model.critical_path(result.per_rank, dec.trace);
-    result.timeline = core::simulate_timeline(result.per_rank, dec.trace, model);
-    result.m_max = core::max_received_message_bytes(dec.trace);
-    result.received_bytes_per_rank.resize(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      result.received_bytes_per_rank[static_cast<std::size_t>(r)] =
-          core::received_message_bytes(dec.trace, r);
-    }
-    result.wall_ms = *std::max_element(dec.walls.begin(), dec.walls.end());
-    result.final_image = std::move(*dec.final_image);
-    return out;
-  }
-
-  // Real failures: seed the report with the supervisor's provenance (attempt
-  // 0), add the survivors' secondary aborts from their own reports (primary
-  // worker reports duplicate the supervisor's kFailed record — skip), and
-  // finish the frame in this process from the shipped snapshots.
-  out.report.faulted = true;
-  std::vector<bool> failed(static_cast<std::size_t>(ranks), false);
-  for (const mp::WorkerFailure& f : outcome.failures) {
-    if (f.rank < 0 || f.rank >= ranks) continue;
-    failed[static_cast<std::size_t>(f.rank)] = true;
-    out.report.events.push_back({f.rank, f.stage, /*primary=*/true, /*attempt=*/0, f.what});
-  }
-  for (const WorkerFailureReport& wf : dec.worker_failures) {
-    if (wf.primary) continue;
-    out.report.events.push_back({wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
-  }
-  return recover_frame(method, subimages, order, model, dec.store, std::move(failed),
-                       std::move(out.report));
-}
-
-FtMethodResult Experiment::run_procs(const core::Compositor& method,
-                                     const ProcOptions& opts) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing_procs(*compositor, subimages_, order_, opts, config_.cost_model);
-}
-
 SequenceRunResult run_compositing_sequence(const core::Compositor& method,
                                            const vol::Dataset& dataset,
                                            const ExperimentConfig& base,
@@ -608,6 +428,13 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
         return sequence_worker_main(rank, generation, at, method, dataset, base, opts);
       });
   if (sup.endpoint.kind == mp::Endpoint::Kind::kUnix) (void)::unlink(sup.endpoint.path.c_str());
+
+  // Non-power-of-two ranks composite through the fold extension (see
+  // derive_frame_geometry); results carry the resolved method's name, as
+  // Experiment::run's do.
+  const core::FoldCompositor folded(method);
+  const core::Compositor& resolved =
+      vol::is_power_of_two(ranks) ? method : static_cast<const core::Compositor&>(folded);
 
   SequenceRunResult out;
   out.report.respawns = outcome.respawns;
@@ -669,12 +496,12 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
             render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(r)]);
         ft.report.pixels_lost += img::count_non_blank(sub, full);
       }
-      ft.result.method = std::string(method.name());
+      ft.result.method = std::string(resolved.name());
       ft.result.final_image = core::composite_reference(subs, geom.order.front_to_back);
     } else if (fo.failures.empty()) {
-      // Clean full-strength frame: assemble the MethodResult exactly as
-      // run_compositing_procs does, so frame f is byte-identical to a
-      // single-frame run of the same view.
+      // Clean full-strength frame: assemble the MethodResult from the
+      // shipped reports; frame f is byte-identical to the in-process run of
+      // the same view.
       if (!dec.final_image ||
           !std::all_of(dec.have_state.begin(), dec.have_state.end(),
                        [](bool b) { return b; })) {
@@ -682,7 +509,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
                                  std::to_string(fo.frame) + " but incomplete worker reports");
       }
       MethodResult& result = ft.result;
-      result.method = std::string(method.name());
+      result.method = std::string(resolved.name());
       result.per_rank = std::move(dec.counters);
       result.times = base.cost_model.critical_path(result.per_rank, dec.trace);
       result.timeline = core::simulate_timeline(result.per_rank, dec.trace, base.cost_model);
@@ -696,7 +523,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       result.final_image = std::move(*dec.final_image);
     } else {
       // Mid-frame deaths at full strength: re-render the frame's subimages
-      // here and run the single-frame recovery ladder (mid-frame plan repair
+      // here and run the in-frame recovery ladder (mid-frame plan repair
       // from shipped snapshots, else degraded recomposite).
       const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
       std::vector<img::Image> subs;
@@ -715,11 +542,8 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
         ft.report.events.push_back(
             {wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
       }
-      const core::FoldCompositor folded(method);
-      const core::Compositor& m =
-          geom.folded ? static_cast<const core::Compositor&>(folded) : method;
-      ft = recover_frame(m, subs, geom.order, base.cost_model, dec.store, std::move(failed),
-                         std::move(ft.report));
+      ft = recover_frame(resolved, subs, geom.order, base.cost_model, dec.store,
+                         std::move(failed), std::move(ft.report));
     }
 
     out.report.faulted = out.report.faulted || ft.report.faulted;

@@ -1,19 +1,23 @@
-// Multi-process compositing: run one method with real worker processes over
-// the socket transport backend.
+// Multi-process compositing: render and composite camera-stepped frames
+// with one resident worker process per rank over the socket transport
+// backend.
 //
-// run_compositing_procs forks one worker per rank under mp::Supervisor. Each
-// worker connects back (bounded backoff), installs a SocketTransport in its
-// CommContext and executes the *same* compositing SPMD body the in-process
-// runtime uses — the frame it produces is byte-identical to the thread
+// run_compositing_sequence forks one worker per rank under
+// mp::Supervisor::run_sequence. Each worker connects back (bounded backoff),
+// keeps one SocketTransport for its whole life, and per frame renders its
+// own brick and executes the *same* compositing SPMD body the in-process
+// runtime uses — every clean frame is byte-identical to the thread
 // backend's. Results, traffic records and (on failure) retained stage
-// snapshots are shipped to the supervisor as serialized kReport frames.
+// snapshots are shipped to the supervisor as serialized kReport frames. A
+// single-frame run is a one-frame sequence.
 //
 // Failure model: worker deaths here are real — a SIGKILLed, crashed, or
 // silently wedged (heartbeat timeout) process is detected by the supervisor,
 // broadcast to the survivors as kPeerFailed, and the frame is finished in
 // the supervisor process by the shared recover_frame machinery (mid-frame
 // plan repair from the shipped snapshots when possible, degraded fold-out
-// recomposition otherwise). No FaultInjector is involved.
+// recomposition otherwise). The dead rank is resurrected at the next frame
+// boundary. No FaultInjector is involved.
 #pragma once
 
 #include <chrono>
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "core/compositor.hpp"
-#include "core/cost_model.hpp"
 #include "mp/envelope.hpp"
 #include "mp/supervisor.hpp"
 #include "pvr/experiment.hpp"
@@ -43,9 +46,9 @@ struct ProcCrash {
   int rank = -1;
   int stage = 0;
   Kind kind = Kind::kSigkill;
-  /// Sequence mode: fire only while rendering frame `frame` (-1 = any
-  /// frame, the single-frame behaviour). A respawned incarnation only sees
-  /// frames after the crash, so a planted crash never re-fires on it.
+  /// Fire only while rendering frame `frame` (-1 = any frame). A respawned
+  /// incarnation only sees frames after the crash, so a planted crash never
+  /// re-fires on it.
   int frame = -1;
   int exit_code = 7;  ///< kExit: the nonzero status to _Exit() with
 };
@@ -61,11 +64,6 @@ struct ProcOptions {
   /// Bounded worker inbox: a full mailbox blocks the reader thread, pushing
   /// backpressure into the kernel socket buffers (0 = unbounded).
   std::size_t inbox_capacity = 1024;
-  /// Intra-rank engine workers for each forked worker's EngineContext
-  /// (0 = single worker; there is no process-global to inherit — each
-  /// worker builds its own explicit context from this value).
-  int workers_per_rank = 0;
-  std::optional<ProcCrash> crash;
   /// Tests: listen/connect here instead of the generated address
   /// ("unix:/path" or "tcp:host:port").
   std::optional<std::string> endpoint_override;
@@ -79,22 +77,11 @@ struct ProcOptions {
   }
 };
 
-/// Execute `method` over `subimages` with one real process per rank. Clean
-/// runs return a FaultReport with faulted == false and a MethodResult whose
-/// final_image is byte-identical to run_compositing's; runs with real worker
-/// deaths are finished from the survivors via recover_frame, with the
-/// supervisor's failure provenance ("killed by signal 9 (SIGKILL)",
-/// "heartbeat timeout: ...") in the report events.
-[[nodiscard]] FtMethodResult run_compositing_procs(
-    const core::Compositor& method, const std::vector<img::Image>& subimages,
-    const core::SwapOrder& order, const ProcOptions& opts,
-    const core::CostModel& model = core::CostModel::sp2());
-
-/// Multi-frame sequence mode (Supervisor::run_sequence): workers stay
-/// resident across frames, the camera steps per frame, and a rank that dies
-/// mid-frame is resurrected at the next frame boundary.
+/// A sequence run (Supervisor::run_sequence): workers stay resident across
+/// frames, the camera steps per frame, and a rank that dies mid-frame is
+/// resurrected at the next frame boundary.
 struct SequenceProcOptions {
-  ProcOptions proc;  ///< transport/backoff/heartbeat knobs (proc.crash unused)
+  ProcOptions proc;  ///< transport/backoff/heartbeat knobs
   int frames = 1;
   /// Per-frame camera step (degrees), as in examples/rotation_sweep: frame f
   /// renders at (rot_x + f·rot_step_x, rot_y + f·rot_step_y). Every frame's
@@ -122,8 +109,9 @@ struct SequenceRunResult {
 /// Render + composite `opts.frames` camera-stepped frames of `dataset`
 /// (partitioned per `base`) with one resident worker process per rank. Each
 /// worker renders only its own brick per frame and composites SPMD exactly
-/// as run_compositing would, so fault-free frames are byte-identical to the
-/// in-process result for the same view. A frame struck by a real worker
+/// as run_compositing would, with an engine context built from
+/// `base.engine`, so fault-free frames are byte-identical to the in-process
+/// result for the same view (Experiment::run). A frame struck by a real worker
 /// death is finished in the parent via the shared recover_frame machinery;
 /// the dead rank is respawned under `opts.respawn` and the next frame runs
 /// at full strength. Ranks past their respawn budget are demoted for good:

@@ -14,6 +14,11 @@ GhostBrick GhostBrick::extract(const Volume& volume, const Brick& brick, int gho
   out.oz_ = brick.z0 - ghost;
   const Dims dims{brick.x1 - brick.x0 + 2 * ghost, brick.y1 - brick.y0 + 2 * ghost,
                   brick.z1 - brick.z0 + 2 * ghost};
+  // Voxels to read: with none, Volume::at_clamped clamps to index -1.
+  if (dims.nx > 0 && dims.ny > 0 && dims.nz > 0 && volume.data().empty()) {
+    throw std::invalid_argument("GhostBrick: cannot extract a non-empty brick from a volume "
+                                "with no voxels");
+  }
   out.data_ = Volume(dims);
   for (int z = 0; z < dims.nz; ++z) {
     for (int y = 0; y < dims.ny; ++y) {

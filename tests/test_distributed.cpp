@@ -73,6 +73,15 @@ TEST(GhostBrick, WireRoundTrip) {
   EXPECT_THROW((void)vol::GhostBrick::from_wire(gb.wire_header(), {}), std::invalid_argument);
 }
 
+TEST(GhostBrick, ExtractFromAVolumeWithNoVoxelsThrows) {
+  // at_clamped clamps to index -1 on a volume with no voxels, so extract must
+  // refuse before it reads, as the renderers do.
+  const vol::Brick brick{0, 0, 0, 4, 4, 4};
+  EXPECT_THROW((void)vol::GhostBrick::extract(vol::Volume{}, brick, 1), std::invalid_argument);
+  EXPECT_THROW((void)vol::GhostBrick::extract(vol::Volume(vol::Dims{0, 5, 5}), brick, 0),
+               std::invalid_argument);
+}
+
 TEST(GhostBrick, LocalRenderBitMatchesSharedRender) {
   const auto ds = vol::make_dataset(vol::DatasetKind::EngineHigh, 0.12);
   const int size = 64;

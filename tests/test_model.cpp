@@ -147,10 +147,11 @@ TEST(ModelScenarios, PartialOrderReductionPreservesVerdictAndStateCount) {
     EXPECT_EQ(a.ok(), b.ok()) << sc.name;
     EXPECT_EQ(a.states, b.states) << sc.name;
     // Transition counts are only comparable where sleep-set bookkeeping does
-    // not re-apply actions on visited-state revisits: the resurrection
-    // scenarios' boundary actions revisit heavily, so POR can legitimately
-    // take *more* transitions there while still agreeing on every state.
-    if (sc.kind != Scenario::Kind::kResurrection) {
+    // not re-apply actions on visited-state revisits: the supervisor model's
+    // frame-open and boundary actions revisit heavily, so POR can
+    // legitimately take *more* transitions there while still agreeing on
+    // every state.
+    if (sc.kind == Scenario::Kind::kRetransmit) {
       EXPECT_LE(a.transitions, b.transitions) << sc.name;
     }
   }
@@ -171,7 +172,8 @@ TEST(ModelReplay, NoParkingCounterexampleReplaysCleanly) {
   const CheckResult res = run_scenario(sc, test_limits());
   ASSERT_TRUE(res.counterexample.has_value());
   const ReplaySchedule schedule =
-      derive_schedule(SupervisionModel(sc), *res.counterexample);
+      derive_schedule(ResurrectionModel(sc), *res.counterexample);
+  EXPECT_EQ(schedule.frames, 1);
   const ReplayReport rep = replay_schedule(schedule);
   EXPECT_TRUE(rep.ok) << rep.summary();
   EXPECT_TRUE(rep.failures.empty()) << rep.summary();
@@ -207,7 +209,7 @@ TEST(ModelReplay, ResurrectionCounterexampleReplaysCleanly) {
     if (s.name == "respawn-w2") sc = s;
   }
   ASSERT_EQ(sc.name, "respawn-w2");
-  sc.mutant = Mutant::kRespawnNoBacklogReplay;
+  sc.mutant = Mutant::kSkipBacklogReplay;
   const CheckResult res = run_scenario(sc, test_limits());
   ASSERT_TRUE(res.counterexample.has_value());
   const ReplaySchedule schedule =

@@ -1,15 +1,17 @@
 // Multi-process backend tests: wire framing, endpoint parsing, bounded
-// connect backoff, and the tentpole acceptance bar — real worker processes
-// over the socket transport produce frames byte-identical to the in-process
-// runtime, and real mid-frame crashes (SIGKILL, SIGSTOP) are detected by the
-// supervisor and finished from the survivors with genuine provenance in the
-// FaultReport.
+// connect backoff, and the acceptance bar — real worker processes over the
+// socket transport produce frames byte-identical to the in-process runtime
+// (one-frame runs and multi-frame sequences alike), real mid-frame crashes
+// (SIGKILL, SIGSTOP, SIGSEGV, exit) are detected by the supervisor and
+// finished from the survivors with genuine provenance in the FaultReport,
+// and dead ranks are resurrected at frame boundaries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <initializer_list>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bsbrc.hpp"
@@ -34,12 +36,6 @@ pvr::ExperimentConfig small_config(int ranks) {
   config.image_size = 64;
   config.ranks = ranks;
   return config;
-}
-
-pvr::ProcOptions fast_opts(const std::string& transport = "unix") {
-  pvr::ProcOptions opts;
-  opts.transport = transport;
-  return opts;
 }
 
 void expect_images_identical(const img::Image& got, const img::Image& want) {
@@ -68,7 +64,7 @@ bool any_event_contains(const pvr::FaultReport& report, const std::string& needl
 
 pvr::SequenceProcOptions seq_opts(int frames, const std::string& transport = "unix") {
   pvr::SequenceProcOptions opts;
-  opts.proc = fast_opts(transport);
+  opts.proc.transport = transport;
   opts.frames = frames;
   return opts;
 }
@@ -265,14 +261,30 @@ TEST(Connect, BackoffExhaustionIsTypedNotAHang) {
   }
 }
 
-// --- Tentpole acceptance: byte-identical clean frames ------------------------
+// --- One-frame runs: byte-identical clean frames ------------------------------
+
+namespace {
+
+/// One frame of `method` over worker processes, the way slspvr-render
+/// --procs runs it without --frames.
+pvr::FtMethodResult run_one_frame(const slspvr::core::Compositor& method,
+                                  const pvr::ExperimentConfig& config,
+                                  const pvr::SequenceProcOptions& opts) {
+  const vol::Dataset dataset = vol::make_dataset(config.dataset, config.volume_scale);
+  pvr::SequenceRunResult run = pvr::run_compositing_sequence(method, dataset, config, opts);
+  EXPECT_EQ(run.frames.size(), 1u);
+  EXPECT_EQ(run.report.respawns, 0) << "no resurrection follows the last frame";
+  return std::move(run.frames.front());
+}
+
+}  // namespace
 
 TEST(Procs, EveryPaperMethodIsByteIdenticalToInProcess) {
   const pvr::Experiment experiment(small_config(4));
   for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(std::string("method ") + std::string(method->name()));
     const pvr::MethodResult in_process = experiment.run(*method);
-    const pvr::FtMethodResult procs = experiment.run_procs(*method, fast_opts());
+    const pvr::FtMethodResult procs = run_one_frame(*method, small_config(4), seq_opts(1));
     EXPECT_FALSE(procs.report.faulted);
     expect_images_identical(procs.result.final_image, in_process.final_image);
     // Worker-shipped accounting reached the supervisor for every rank.
@@ -285,7 +297,7 @@ TEST(Procs, TcpLoopbackMatchesToo) {
   const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
   const pvr::MethodResult in_process = experiment.run(bsbrc);
-  const pvr::FtMethodResult procs = experiment.run_procs(bsbrc, fast_opts("tcp"));
+  const pvr::FtMethodResult procs = run_one_frame(bsbrc, small_config(4), seq_opts(1, "tcp"));
   EXPECT_FALSE(procs.report.faulted);
   expect_images_identical(procs.result.final_image, in_process.final_image);
 }
@@ -294,20 +306,28 @@ TEST(Procs, NonPowerOfTwoRanksFoldAcrossProcesses) {
   const pvr::Experiment experiment(small_config(3));
   const slspvr::core::BsbrcCompositor bsbrc;
   const pvr::MethodResult in_process = experiment.run(bsbrc);
-  const pvr::FtMethodResult procs = experiment.run_procs(bsbrc, fast_opts());
+  const pvr::FtMethodResult procs = run_one_frame(bsbrc, small_config(3), seq_opts(1));
   EXPECT_FALSE(procs.report.faulted);
   expect_images_identical(procs.result.final_image, in_process.final_image);
 }
 
-// --- Tentpole acceptance: real crashes, real provenance ----------------------
+// --- One-frame runs: real crashes, real provenance ---------------------------
+
+namespace {
+
+pvr::SequenceProcOptions one_frame_crash(pvr::ProcCrash crash) {
+  pvr::SequenceProcOptions opts = seq_opts(1);
+  opts.crashes = {crash};
+  return opts;
+}
+
+}  // namespace
 
 TEST(ProcsChaos, SigkillMidFrameFinishesFromSurvivors) {
-  const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
-  pvr::ProcOptions opts = fast_opts();
-  opts.crash = pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill};
-
-  const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
+  const pvr::FtMethodResult ft = run_one_frame(
+      bsbrc, small_config(4),
+      one_frame_crash({/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill}));
   EXPECT_TRUE(ft.report.faulted);
   EXPECT_TRUE(ft.report.resumed || ft.report.degraded) << ft.report.summary();
   ASSERT_EQ(ft.report.failed_ranks.size(), 1u);
@@ -321,14 +341,13 @@ TEST(ProcsChaos, SigkillMidFrameFinishesFromSurvivors) {
 }
 
 TEST(ProcsChaos, SigstopIsCaughtByTheHeartbeatWatchdog) {
-  const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
-  pvr::ProcOptions opts = fast_opts();
-  opts.heartbeat_interval = std::chrono::milliseconds{20};
-  opts.heartbeat_timeout = std::chrono::milliseconds{300};
-  opts.crash = pvr::ProcCrash{/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kSigstop};
+  pvr::SequenceProcOptions opts =
+      one_frame_crash({/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kSigstop});
+  opts.proc.heartbeat_interval = std::chrono::milliseconds{20};
+  opts.proc.heartbeat_timeout = std::chrono::milliseconds{300};
 
-  const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
+  const pvr::FtMethodResult ft = run_one_frame(bsbrc, small_config(4), opts);
   EXPECT_TRUE(ft.report.faulted);
   ASSERT_EQ(ft.report.failed_ranks.size(), 1u);
   EXPECT_EQ(ft.report.failed_ranks[0], 2);
@@ -338,12 +357,10 @@ TEST(ProcsChaos, SigstopIsCaughtByTheHeartbeatWatchdog) {
 }
 
 TEST(ProcsChaos, SigsegvProvenanceIsHumanReadable) {
-  const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
-  pvr::ProcOptions opts = fast_opts();
-  opts.crash = pvr::ProcCrash{/*rank=*/3, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv};
-
-  const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
+  const pvr::FtMethodResult ft = run_one_frame(
+      bsbrc, small_config(4),
+      one_frame_crash({/*rank=*/3, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv}));
   EXPECT_TRUE(ft.report.faulted);
   ASSERT_EQ(ft.report.failed_ranks.size(), 1u);
   EXPECT_EQ(ft.report.failed_ranks[0], 3);
@@ -353,17 +370,14 @@ TEST(ProcsChaos, SigsegvProvenanceIsHumanReadable) {
 }
 
 TEST(ProcsChaos, NonzeroExitProvenanceIsHumanReadable) {
-  const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
-  pvr::ProcOptions opts = fast_opts();
   pvr::ProcCrash crash;
   crash.rank = 1;
   crash.stage = 1;
   crash.kind = pvr::ProcCrash::Kind::kExit;
   crash.exit_code = 7;
-  opts.crash = crash;
 
-  const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
+  const pvr::FtMethodResult ft = run_one_frame(bsbrc, small_config(4), one_frame_crash(crash));
   EXPECT_TRUE(ft.report.faulted);
   ASSERT_EQ(ft.report.failed_ranks.size(), 1u);
   EXPECT_EQ(ft.report.failed_ranks[0], 1);
@@ -399,7 +413,7 @@ TEST(Connect, BackoffDelayIsBoundedDeterministicAndJittered) {
   EXPECT_TRUE(differs);
 }
 
-// --- Sequence mode: resurrection ---------------------------------------------
+// --- Sequences: resurrection -------------------------------------------------
 
 TEST(Sequence, CleanFramesAreByteIdenticalToInProcess) {
   const pvr::ExperimentConfig base = small_config(4);

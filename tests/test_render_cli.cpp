@@ -125,6 +125,79 @@ TEST(RenderCli, RenderFlagValuesAreStrict) {
   }
 }
 
+TEST(RenderCli, FaultAndTfSpecsAreStrict) {
+  // slspvr-render reads --fault-kill with parse_rank_stage, --fault-drop
+  // (source,dest[,tag]), --fault-corrupt and --fault-delay (source,dest,n)
+  // with parse_int_list, and --tf (lo,hi,opacity) with parse_float_list. A
+  // failure exits 2. sscanf used to accept "1,1x" as a kill at rank 1,
+  // stage 1 and "0.1,0.9,0.5junk" as a transfer function.
+  enum class Flag { kKill, kDrop, kTriple, kTf };
+  struct Case {
+    Flag flag;
+    const char* token;
+    bool ok;
+  };
+  const Case cases[] = {
+      {Flag::kKill, "1,1", true},
+      {Flag::kKill, "0,12", true},
+      {Flag::kKill, "1,1x", false},
+      {Flag::kKill, "1", false},
+      {Flag::kKill, "-1,1", false},
+      {Flag::kKill, "1,1,1", false},
+      {Flag::kKill, "1, 1", false},
+      {Flag::kDrop, "1,0", true},
+      {Flag::kDrop, "-1,-1", true},
+      {Flag::kDrop, "1,-1,-1", true},
+      {Flag::kDrop, "1,0,-1002", true},
+      {Flag::kDrop, "1,0,5x", false},
+      {Flag::kDrop, "1", false},
+      {Flag::kDrop, "1,0,1,1", false},
+      {Flag::kDrop, "1,,0", false},
+      {Flag::kDrop, "1,0,", false},
+      {Flag::kDrop, "a,b", false},
+      {Flag::kDrop, "1, 0", false},
+      {Flag::kDrop, "+1,0", false},
+      {Flag::kDrop, "--1,0", false},
+      {Flag::kDrop, "-,0", false},
+      {Flag::kDrop, "1,99999999999", false},
+      {Flag::kTriple, "3,-1,5", true},
+      {Flag::kTriple, "-1,-1,1", true},
+      {Flag::kTriple, "3,-1", false},
+      {Flag::kTriple, "3,-1,5ms", false},
+      {Flag::kTriple, "3,-1,5,5", false},
+      {Flag::kTriple, "", false},
+      {Flag::kTf, "60,140,0.45", true},
+      {Flag::kTf, "0.1,0.9,0.5", true},
+      {Flag::kTf, "0.1,0.9,0.5junk", false},
+      {Flag::kTf, "0.1,0.9", false},
+      {Flag::kTf, "0.1,0.9,0.5,1", false},
+      {Flag::kTf, "a,b,c", false},
+      {Flag::kTf, "0.1,,0.5", false},
+      {Flag::kTf, "1e40,0,0", false},
+      {Flag::kTf, "0.1,nan,0.5", false},
+      {Flag::kTf, "0.1, 0.9,0.5", false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("token '") + c.token + "'");
+    const auto parse = [&] {
+      switch (c.flag) {
+        case Flag::kKill: (void)tools::parse_rank_stage(c.token, "--fault-kill"); break;
+        case Flag::kDrop: (void)tools::parse_int_list(c.token, "--fault-drop", 2, 3); break;
+        case Flag::kTriple: (void)tools::parse_int_list(c.token, "--fault-corrupt", 3, 3); break;
+        case Flag::kTf: (void)tools::parse_float_list(c.token, "--tf", 3); break;
+      }
+    };
+    if (c.ok) {
+      EXPECT_NO_THROW(parse());
+    } else {
+      EXPECT_THROW(parse(), tools::ParseError);
+    }
+  }
+  EXPECT_EQ(tools::parse_int_list("1,-1,-1002", "--fault-drop", 2, 3),
+            (std::vector<int>{1, -1, -1002}));
+  EXPECT_EQ(tools::parse_float_list("60,140,0.45", "--tf", 3),
+            (std::vector<double>{60.0, 140.0, 0.45}));
+}
+
 TEST(RenderCli, ParseWorkersPerRankIsStrict) {
   EXPECT_EQ(tools::parse_workers_per_rank("1"), 1);
   EXPECT_EQ(tools::parse_workers_per_rank("4"), 4);
@@ -179,14 +252,18 @@ TEST(RenderCli, UnknownTransportRejected) {
                tools::ParseError);
 }
 
-TEST(RenderCli, OnlyOnePlantedCrashPerSingleFrameRun) {
-  // The one-crash rule is a validation rule, not a parse rule: --frames may
-  // come later in argv, and sequence runs legitimately plant several.
+TEST(RenderCli, OneFrameRunsAcceptSeveralPlantedCrashes) {
+  // A one-frame run is a one-frame sequence: several planted crashes all
+  // fire in frame 0, with or without an explicit --frames 1.
   for (const auto& argv : std::vector<std::vector<std::string>>{
            {"--procs", "4", "--proc-kill", "1,1", "--proc-stall", "2,1"},
-           {"--procs", "4", "--proc-kill", "1,1", "--proc-kill", "2,1"}}) {
+           {"--procs", "4", "--frames", "1", "--proc-kill", "1,1", "--proc-kill", "2,1"}}) {
     const tools::ProcCli cli = parse_flags(argv);
-    EXPECT_THROW(tools::validate_proc_cli(cli, false), tools::ParseError);
+    EXPECT_NO_THROW(tools::validate_proc_cli(cli, false));
+    EXPECT_FALSE(cli.sequence());
+    const pvr::SequenceProcOptions seq = tools::to_sequence_options(cli);
+    EXPECT_EQ(seq.frames, 1);
+    EXPECT_EQ(seq.crashes.size(), 2u);
   }
   const tools::ProcCli seq = parse_flags({"--procs", "4", "--frames", "5",
                                           "--proc-kill", "1,1@1",
@@ -281,12 +358,23 @@ TEST(RenderCli, PlantedCrashRankMustBeInRange) {
   EXPECT_THROW(tools::validate_proc_cli(cli, false), tools::ParseError);
 }
 
-TEST(RenderCli, SequenceOnlyFlagsRequireFrames) {
-  // --respawn-max and @frame qualifiers are meaningless in a single-frame run.
+TEST(RenderCli, SequenceFlagsAreAcceptedAtOneFrame) {
+  // --respawn-max and the @0 qualifier are legal in a one-frame sequence (no
+  // resurrection follows its only frame); @1 is past its end.
+  for (const auto& argv : std::vector<std::vector<std::string>>{
+           {"--procs", "4", "--respawn-max", "1"},
+           {"--procs", "4", "--frames", "1", "--respawn-max", "0"},
+           {"--procs", "4", "--proc-kill", "1,1@0"},
+           {"--procs", "4", "--frames", "1", "--proc-exit", "2,0@0", "--respawn-max", "3"}}) {
+    const tools::ProcCli cli = parse_flags(argv);
+    EXPECT_NO_THROW(tools::validate_proc_cli(cli, false));
+  }
   const tools::ProcCli respawn = parse_flags({"--procs", "4", "--respawn-max", "1"});
-  EXPECT_THROW(tools::validate_proc_cli(respawn, false), tools::ParseError);
+  EXPECT_EQ(tools::to_sequence_options(respawn).respawn.max_respawns_per_rank, 1);
   const tools::ProcCli framed = parse_flags({"--procs", "4", "--proc-kill", "1,1@0"});
-  EXPECT_THROW(tools::validate_proc_cli(framed, false), tools::ParseError);
+  EXPECT_EQ(tools::to_sequence_options(framed).crashes.front().frame, 0);
+  const tools::ProcCli past = parse_flags({"--procs", "4", "--proc-kill", "1,1@1"});
+  EXPECT_THROW(tools::validate_proc_cli(past, false), tools::ParseError);
 }
 
 TEST(RenderCli, CrashFrameMustBeWithinSequence) {
@@ -304,7 +392,6 @@ TEST(RenderCli, SequenceFlagsLowerOntoSequenceOptions) {
   const pvr::SequenceProcOptions seq = tools::to_sequence_options(cli);
   EXPECT_EQ(seq.frames, 10);
   EXPECT_EQ(seq.proc.transport, "tcp");
-  EXPECT_FALSE(seq.proc.crash.has_value()) << "sequence crashes ride in seq.crashes";
   EXPECT_EQ(seq.respawn.max_respawns_per_rank, 0);
   ASSERT_EQ(seq.crashes.size(), 1u);
   EXPECT_EQ(seq.crashes.front().kind, pvr::ProcCrash::Kind::kSigsegv);
@@ -317,12 +404,15 @@ TEST(RenderCli, ValidatedFlagsLowerOntoProcOptions) {
                                           "--heartbeat-timeout-ms", "450",
                                           "--proc-stall", "1,2"});
   tools::validate_proc_cli(cli, false);
-  const pvr::ProcOptions opts = tools::to_proc_options(cli);
-  EXPECT_EQ(opts.transport, "tcp");
-  EXPECT_EQ(opts.heartbeat_interval.count(), 15);
-  EXPECT_EQ(opts.heartbeat_timeout.count(), 450);
-  ASSERT_TRUE(opts.crash.has_value());
-  EXPECT_EQ(opts.crash->rank, 1);
-  EXPECT_EQ(opts.crash->stage, 2);
-  EXPECT_EQ(opts.crash->kind, pvr::ProcCrash::Kind::kSigstop);
+  // Every --procs run is a sequence: a one-frame run lowers onto the
+  // sequence options, its planted crash included.
+  const pvr::SequenceProcOptions seq = tools::to_sequence_options(cli);
+  EXPECT_EQ(seq.frames, 1);
+  EXPECT_EQ(seq.proc.transport, "tcp");
+  EXPECT_EQ(seq.proc.heartbeat_interval.count(), 15);
+  EXPECT_EQ(seq.proc.heartbeat_timeout.count(), 450);
+  ASSERT_EQ(seq.crashes.size(), 1u);
+  EXPECT_EQ(seq.crashes.front().rank, 1);
+  EXPECT_EQ(seq.crashes.front().stage, 2);
+  EXPECT_EQ(seq.crashes.front().kind, pvr::ProcCrash::Kind::kSigstop);
 }

@@ -1,7 +1,9 @@
 // Strict parsing/validation for slspvr_render's multi-process flags and its
 // numeric flags (--ranks, --sessions, --image, --retry-max, --retry-base-ms,
 // --recv-timeout: parse_positive_int; --scale, --rotx, --roty:
-// parse_finite_float; --fault-seed: parse_u64), and slspvr-check's --max-p.
+// parse_finite_float; --fault-seed: parse_u64; --fault-kill:
+// parse_rank_stage; --fault-drop, --fault-corrupt, --fault-delay:
+// parse_int_list; --tf: parse_float_list), and slspvr-check's --max-p.
 //
 // Modeled on bench/bench_common.hpp: the pure helpers throw ParseError
 // (never exit), so the test suite covers the flag grammar and the
@@ -14,13 +16,13 @@
 //   --heartbeat-ms <n>         worker heartbeat interval
 //   --heartbeat-timeout-ms <n> supervisor silence threshold before a worker
 //                              is declared failed
-//   --frames <n>               multi-frame sequence mode (n > 1): workers
+//   --frames <n>               frames in the sequence (default 1): workers
 //                              stay resident, the camera steps per frame,
 //                              dead ranks are resurrected at frame
 //                              boundaries under the respawn policy
-//   --respawn-max <n>          sequence mode: resurrections per rank before
-//                              the circuit breaker demotes it for good
-//                              (default 2; 0 = demote on first death)
+//   --respawn-max <n>          resurrections per rank before the circuit
+//                              breaker demotes it for good (default 2;
+//                              0 = demote on first death)
 //   --proc-kill <r,s[@f]>      worker r raises SIGKILL on itself at stage s
 //                              (a real crash; the supervisor detects EOF)
 //   --proc-stall <r,s[@f]>     worker r raises SIGSTOP at stage s (goes
@@ -29,10 +31,12 @@
 //                              with core-dump semantics)
 //   --proc-exit <r,s[@f]>      worker r _Exit(7)s at stage s (bails without
 //                              dying by signal)
-// The optional @f qualifier restricts a planted crash to sequence frame f;
-// it requires --frames > 1. Crash flags may repeat in sequence mode (one
-// planted crash per frame tells the resurrection story); single-frame runs
-// keep the one-crash rule.
+// The optional @f qualifier restricts a planted crash to frame f of the
+// sequence. Crash flags may repeat (one planted crash per frame tells the
+// resurrection story).
+//
+// Every --procs run is a sequence of --frames frames; a one-frame run is the
+// plain single-frame render and keeps its output file and summary.
 //
 // Contradiction rules (each violation is a ParseError):
 //  * --procs excludes every in-process fault-injection flag (--fault-*,
@@ -40,9 +44,7 @@
 //    backend and cannot reach into worker processes — real crashes are
 //    planted with the --proc-* crash flags instead;
 //  * every other proc-family flag requires --procs;
-//  * --respawn-max and @frame qualifiers require --frames > 1;
-//  * single-frame runs allow at most one planted crash; every crash rank
-//    must be < --procs.
+//  * every crash rank must be < --procs and every @frame < --frames.
 #pragma once
 
 #include <cctype>
@@ -166,6 +168,69 @@ inline constexpr int kMaxWorkersPerRank = 256;
   return value;
 }
 
+/// The comma-separated fields of `token`, empty ones included ("1,,2" has
+/// three fields, "" has one).
+[[nodiscard]] inline std::vector<std::string> split_commas(const std::string& token) {
+  std::vector<std::string> fields;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = token.find(',', begin);
+    fields.push_back(token.substr(begin, comma - begin));
+    if (comma == std::string::npos) return fields;
+    begin = comma + 1;
+  }
+}
+
+/// Strict comma list of `min_fields`..`max_fields` signed integers, as the
+/// fault rules read them ("1,-1,5"; -1 = any rank or tag): each field is an
+/// optional '-' and decimal digits, with nothing else in the token.
+[[nodiscard]] inline std::vector<int> parse_int_list(const std::string& token,
+                                                     const std::string& what,
+                                                     std::size_t min_fields,
+                                                     std::size_t max_fields) {
+  const auto fail = [&]() {
+    return ParseError(what + ": '" + token + "' is not a comma list of " +
+                      std::to_string(min_fields) +
+                      (max_fields == min_fields ? "" : " to " + std::to_string(max_fields)) +
+                      " integers");
+  };
+  const std::vector<std::string> fields = split_commas(token);
+  if (fields.size() < min_fields || fields.size() > max_fields) throw fail();
+  std::vector<int> values;
+  for (const std::string& field : fields) {
+    const std::size_t sign = !field.empty() && field[0] == '-' ? 1 : 0;
+    bool digits = field.size() > sign;
+    for (std::size_t i = sign; i < field.size(); ++i) {
+      digits = digits && field[i] >= '0' && field[i] <= '9';
+    }
+    std::size_t used = 0;
+    if (digits) {
+      try {
+        values.push_back(std::stoi(field, &used));
+      } catch (const std::exception&) {
+        used = 0;
+      }
+    }
+    if (!digits || used != field.size()) throw fail();
+  }
+  return values;
+}
+
+/// Strict comma list of exactly `count` finite floats (--tf lo,hi,opacity):
+/// each field is read by parse_finite_float.
+[[nodiscard]] inline std::vector<double> parse_float_list(const std::string& token,
+                                                          const std::string& what,
+                                                          std::size_t count) {
+  const std::vector<std::string> fields = split_commas(token);
+  if (fields.size() != count) {
+    throw ParseError(what + ": '" + token + "' is not " + std::to_string(count) +
+                     " comma-separated numbers");
+  }
+  std::vector<double> values;
+  for (const std::string& field : fields) values.push_back(parse_finite_float(field, what));
+  return values;
+}
+
 /// Strict "rank,stage" parse: two comma-separated non-negative integers with
 /// nothing else in the token.
 struct RankStage {
@@ -175,28 +240,11 @@ struct RankStage {
 
 [[nodiscard]] inline RankStage parse_rank_stage(const std::string& token,
                                                 const std::string& what) {
-  const std::size_t comma = token.find(',');
-  if (comma == std::string::npos || token.find(',', comma + 1) != std::string::npos) {
+  if (token.find('-') != std::string::npos) {
     throw ParseError(what + ": '" + token + "' is not rank,stage");
   }
-  const auto non_negative = [&](const std::string& part) -> int {
-    bool digits = !part.empty();
-    for (const char c : part) digits = digits && c >= '0' && c <= '9';
-    std::size_t used = 0;
-    int value = -1;
-    if (digits) {
-      try {
-        value = std::stoi(part, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-    }
-    if (!digits || used != part.size()) {
-      throw ParseError(what + ": '" + token + "' is not rank,stage");
-    }
-    return value;
-  };
-  return RankStage{non_negative(token.substr(0, comma)), non_negative(token.substr(comma + 1))};
+  const std::vector<int> values = parse_int_list(token, what, 2, 2);
+  return RankStage{values[0], values[1]};
 }
 
 /// Strict "rank,stage[@frame]" parse for the planted-crash flags: the base
@@ -237,15 +285,14 @@ struct ProcCli {
   std::string transport = "unix";
   int heartbeat_ms = 25;
   int heartbeat_timeout_ms = 1000;
-  int frames = 1;          ///< > 1 selects multi-frame sequence mode
+  int frames = 1;          ///< frames in the sequence
   int respawn_max = 2;     ///< resurrections per rank before demotion
-  bool respawn_max_seen = false;
-  /// Planted crashes in flag order. Single-frame runs allow at most one;
-  /// sequence runs may plant several (validate_proc_cli enforces both).
-  std::vector<pvr::ProcCrash> crashes;
+  std::vector<pvr::ProcCrash> crashes;  ///< planted crashes in flag order
   bool family_flag_seen = false;  ///< any proc flag other than --procs
 
   [[nodiscard]] bool active() const noexcept { return procs > 0; }
+  /// More than one frame: one output file per frame and the sequence
+  /// summary instead of the single-frame ones.
   [[nodiscard]] bool sequence() const noexcept { return frames > 1; }
 };
 
@@ -254,9 +301,6 @@ struct ProcCli {
 /// Returns false when the flag is not ours.
 template <typename NextFn>
 [[nodiscard]] bool try_parse_proc_flag(ProcCli& cli, const std::string& arg, NextFn&& next) {
-  // Crash counting cannot happen here: --frames may come later in argv, and
-  // the one-crash rule only applies to single-frame runs. validate_proc_cli
-  // enforces it once every flag is in.
   const auto add_crash = [&](pvr::ProcCrash::Kind kind, const std::string& what) {
     cli.crashes.push_back(parse_crash_spec(next(), what, kind));
     cli.family_flag_seen = true;
@@ -272,7 +316,6 @@ template <typename NextFn>
   }
   if (arg == "--respawn-max") {
     cli.respawn_max = parse_non_negative_int(next(), "--respawn-max");
-    cli.respawn_max_seen = true;
     cli.family_flag_seen = true;
     return true;
   }
@@ -334,22 +377,6 @@ inline void validate_proc_cli(const ProcCli& cli, bool fault_flags_present) {
   if (cli.heartbeat_timeout_ms <= cli.heartbeat_ms) {
     throw ParseError("--heartbeat-timeout-ms must exceed --heartbeat-ms");
   }
-  if (!cli.sequence()) {
-    if (cli.crashes.size() > 1) {
-      throw ParseError(
-          "only one planted crash per single-frame run (--proc-kill or --proc-stall, "
-          "not both or repeated); pass --frames > 1 to plant one per frame");
-    }
-    if (cli.respawn_max_seen) {
-      throw ParseError("--respawn-max requires --frames > 1 (resurrection happens at "
-                       "frame boundaries)");
-    }
-    for (const pvr::ProcCrash& crash : cli.crashes) {
-      if (crash.frame >= 0) {
-        throw ParseError("@frame crash qualifiers require --frames > 1");
-      }
-    }
-  }
   for (const pvr::ProcCrash& crash : cli.crashes) {
     if (crash.rank >= cli.procs) {
       throw ParseError("--proc-kill/--proc-stall/--proc-segv/--proc-exit rank " +
@@ -363,21 +390,12 @@ inline void validate_proc_cli(const ProcCli& cli, bool fault_flags_present) {
   }
 }
 
-/// Lower the validated flags onto the single-frame runner's options.
-[[nodiscard]] inline pvr::ProcOptions to_proc_options(const ProcCli& cli) {
-  pvr::ProcOptions opts;
-  opts.transport = cli.transport;
-  opts.heartbeat_interval = std::chrono::milliseconds(cli.heartbeat_ms);
-  opts.heartbeat_timeout = std::chrono::milliseconds(cli.heartbeat_timeout_ms);
-  if (!cli.crashes.empty()) opts.crash = cli.crashes.front();
-  return opts;
-}
-
-/// Lower the validated flags onto the multi-frame sequence runner's options.
+/// Lower the validated flags onto the sequence runner's options.
 [[nodiscard]] inline pvr::SequenceProcOptions to_sequence_options(const ProcCli& cli) {
   pvr::SequenceProcOptions seq;
-  seq.proc = to_proc_options(cli);
-  seq.proc.crash.reset();  // sequence crashes ride in seq.crashes instead
+  seq.proc.transport = cli.transport;
+  seq.proc.heartbeat_interval = std::chrono::milliseconds(cli.heartbeat_ms);
+  seq.proc.heartbeat_timeout = std::chrono::milliseconds(cli.heartbeat_timeout_ms);
   seq.frames = cli.frames;
   seq.respawn.max_respawns_per_rank = cli.respawn_max;
   seq.crashes = cli.crashes;

@@ -1,5 +1,6 @@
-// slspvr-model: explicit-state model checking of the supervision, transport
-// and recovery protocols.
+// slspvr-model: explicit-state model checking of the supervisor's frame
+// protocol (startup, supervision and resurrection) and the transport's
+// retransmit channel.
 //
 //   slspvr-model --all-scenarios --max-workers 4     # exhaustive verification
 //   slspvr-model --scenario crash-w3 -v              # one scenario, verbose
@@ -8,8 +9,10 @@
 //                                                    #   schedules for real
 //
 // Exit codes: 0 all checks passed, 1 a verification failed (invariant
-// violation, deadlock, livelock, budget exhausted, undetected mutant, or a
-// replay nonconformance), 2 usage error.
+// violation, deadlock, livelock, budget exhausted, undetected mutant, a
+// mutant paired with no scenario, or a replay nonconformance), 2 usage
+// error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +35,8 @@ void usage(const char* argv0) {
       "  --all-scenarios   verify every shipped scenario (default)\n"
       "  --scenario NAME   verify one scenario by name\n"
       "  --mutants         seed every protocol mutant and require that the\n"
-      "                    checker finds a counterexample for each\n"
+      "                    checker finds a counterexample for each (and that\n"
+      "                    every mutant is paired with some scenario)\n"
       "  --max-workers N   scenario worker-count ceiling, 2..4 (default 4)\n"
       "  --max-states N    visited-state budget per run (default 2000000)\n"
       "  --max-seconds S   wall-clock budget per run (default 120)\n"
@@ -81,14 +85,10 @@ void write_trace(const Cli& cli, const std::string& name,
 /// the shipped code has the fix, so the replay must come out clean; returns
 /// false (a real defect!) when it does not.
 bool replay_counterexample(const model::Scenario& sc, const model::Counterexample& cex) {
-  model::ReplaySchedule schedule;
-  if (sc.kind == model::Scenario::Kind::kRetransmit) {
-    schedule = model::derive_schedule(model::RetransmitModel(sc), cex);
-  } else if (sc.kind == model::Scenario::Kind::kResurrection) {
-    schedule = model::derive_schedule(model::ResurrectionModel(sc), cex);
-  } else {
-    schedule = model::derive_schedule(model::SupervisionModel(sc), cex);
-  }
+  const model::ReplaySchedule schedule =
+      sc.kind == model::Scenario::Kind::kRetransmit
+          ? model::derive_schedule(model::RetransmitModel(sc), cex)
+          : model::derive_schedule(model::ResurrectionModel(sc), cex);
   const model::ReplayReport rep = model::replay_schedule(schedule);
   std::printf("  replay [%s]: %s\n", schedule.scenario.c_str(), rep.summary().c_str());
   return rep.ok;
@@ -154,6 +154,22 @@ int main(int argc, char** argv) {
   const std::vector<model::Scenario> scenarios = model::all_scenarios(cli.max_workers);
   int verified = 0;
   int failed = 0;
+
+  // Mutation coverage of the registry itself: a mutant that no scenario is
+  // paired with would pass the gate unseen.
+  if (cli.mutants) {
+    for (const model::Mutant m : model::kAllMutants) {
+      bool paired = false;
+      for (const model::Scenario& sc : scenarios) {
+        const std::vector<model::Mutant> ms = model::mutants_for(sc);
+        paired = paired || std::find(ms.begin(), ms.end(), m) != ms.end();
+      }
+      if (!paired) {
+        ++failed;
+        std::printf("FAIL %-34s paired with no scenario\n", model::mutant_name(m));
+      }
+    }
+  }
 
   for (const model::Scenario& sc : scenarios) {
     if (!cli.all && sc.name != cli.scenario) continue;

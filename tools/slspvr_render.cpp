@@ -53,7 +53,8 @@
 //     --heartbeat-timeout-ms <n> supervisor silence threshold
 //     --frames <n>               with --procs: render an n-frame camera sweep
 //                                with resident workers; dead ranks respawn at
-//                                frame boundaries (writes out-f0.pgm..f<n-1>)
+//                                frame boundaries (n > 1 writes
+//                                out-f0.pgm..f<n-1>; default 1)
 //     --respawn-max <n>          resurrections per rank before the circuit
 //                                breaker demotes it for good (default 2)
 //     --proc-kill <r,s[@f]>      worker r SIGKILLs itself at stage s (real
@@ -63,8 +64,8 @@
 //                                by the heartbeat watchdog)
 //     --proc-segv <r,s[@f]>      worker r SIGSEGVs itself at stage s
 //     --proc-exit <r,s[@f]>      worker r exits nonzero at stage s
-//                                (crash flags repeat only with --frames > 1;
-//                                --stats/--shear-warp-preview are single-frame)
+//                                (crash flags repeat; --stats and
+//                                --shear-warp-preview need a single frame)
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -158,12 +159,10 @@ Args parse(int argc, char** argv) {
     } else if (a == "--volume") {
       args.volume_path = next();
     } else if (a == "--tf") {
-      const std::string spec = next();
-      if (std::sscanf(spec.c_str(), "%f,%f,%f", &args.tf_lo, &args.tf_hi,
-                      &args.tf_opacity) != 3) {
-        std::cerr << "--tf expects lo,hi,opacity\n";
-        usage(2);
-      }
+      const std::vector<double> tf = slspvr::tools::parse_float_list(next(), "--tf", 3);
+      args.tf_lo = static_cast<float>(tf[0]);
+      args.tf_hi = static_cast<float>(tf[1]);
+      args.tf_opacity = static_cast<float>(tf[2]);
     } else if (a == "--method") {
       args.method = next();
     } else if (a == "--ranks") {
@@ -196,43 +195,28 @@ Args parse(int argc, char** argv) {
     } else if (a == "--stats") {
       args.stats = true;
     } else if (a == "--fault-kill") {
-      const std::string spec = next();
-      int r = -1, s = -1;
-      if (std::sscanf(spec.c_str(), "%d,%d", &r, &s) != 2 || r < 0 || s < 0) {
-        std::cerr << "--fault-kill expects rank,stage (non-negative)\n";
-        usage(2);
-      }
-      args.faults.kills.push_back({r, s});
+      const slspvr::tools::RankStage kill = slspvr::tools::parse_rank_stage(next(), "--fault-kill");
+      args.faults.kills.push_back({kill.rank, kill.stage});
     } else if (a == "--fault-drop") {
-      const std::string spec = next();
-      int s = -1, d = -1, tag = slspvr::mp::kAnyTagRule;
-      const int got = std::sscanf(spec.c_str(), "%d,%d,%d", &s, &d, &tag);
-      if (got < 2) {
-        std::cerr << "--fault-drop expects source,dest[,tag] (-1 = any)\n";
-        usage(2);
-      }
+      // source,dest[,tag], -1 = any
+      const std::vector<int> v = slspvr::tools::parse_int_list(next(), "--fault-drop", 2, 3);
+      const int tag = v.size() == 3 ? v[2] : slspvr::mp::kAnyTagRule;
       args.faults.drops.push_back(
-          {s, d, tag, slspvr::mp::kAnyStageRule, /*max_count=*/1});
+          {v[0], v[1], tag, slspvr::mp::kAnyStageRule, /*max_count=*/1});
     } else if (a == "--fault-corrupt") {
-      const std::string spec = next();
-      int s = -1, d = -1, bytes = 0;
-      if (std::sscanf(spec.c_str(), "%d,%d,%d", &s, &d, &bytes) != 3 || bytes < 1) {
-        std::cerr << "--fault-corrupt expects source,dest,bytes (-1 = any rank)\n";
-        usage(2);
-      }
-      args.faults.corruptions.push_back({s, d, slspvr::mp::kAnyTagRule,
-                                         slspvr::mp::kAnyStageRule, /*flip_bytes=*/bytes,
+      // source,dest,bytes, -1 = any rank
+      const std::vector<int> v = slspvr::tools::parse_int_list(next(), "--fault-corrupt", 3, 3);
+      if (v[2] < 1) throw slspvr::tools::ParseError("--fault-corrupt: bytes must be >= 1");
+      args.faults.corruptions.push_back({v[0], v[1], slspvr::mp::kAnyTagRule,
+                                         slspvr::mp::kAnyStageRule, /*flip_bytes=*/v[2],
                                          /*truncate_bytes=*/0, /*max_count=*/1});
     } else if (a == "--fault-delay") {
-      const std::string spec = next();
-      int s = -1, d = -1, ms = 0;
-      if (std::sscanf(spec.c_str(), "%d,%d,%d", &s, &d, &ms) != 3 || ms < 1) {
-        std::cerr << "--fault-delay expects source,dest,milliseconds (-1 = any rank)\n";
-        usage(2);
-      }
-      args.faults.delays.push_back({s, d, slspvr::mp::kAnyTagRule,
+      // source,dest,milliseconds, -1 = any rank
+      const std::vector<int> v = slspvr::tools::parse_int_list(next(), "--fault-delay", 3, 3);
+      if (v[2] < 1) throw slspvr::tools::ParseError("--fault-delay: milliseconds must be >= 1");
+      args.faults.delays.push_back({v[0], v[1], slspvr::mp::kAnyTagRule,
                                     slspvr::mp::kAnyStageRule,
-                                    std::chrono::milliseconds(ms), /*max_count=*/1});
+                                    std::chrono::milliseconds(v[2]), /*max_count=*/1});
     } else if (a == "--fault-seed") {
       args.faults.seed = slspvr::tools::parse_u64(next(), "--fault-seed");
     } else if (a == "--retry-max") {
@@ -367,6 +351,36 @@ int run_sessions(const Args& args, const core::Compositor& method) {
   return 0;
 }
 
+// --procs with --frames > 1: one PGM per frame and the sequence summary.
+int write_sequence(const Args& args, const pvr::SequenceRunResult& seq) {
+  const std::filesystem::path out(args.out);
+  const std::string ext = out.extension().empty() ? ".pgm" : out.extension().string();
+  int faulted_frames = 0;
+  int degraded_frames = 0;
+  for (std::size_t f = 0; f < seq.frames.size(); ++f) {
+    const pvr::FtMethodResult& ft = seq.frames[f];
+    faulted_frames += ft.report.faulted ? 1 : 0;
+    degraded_frames += ft.report.degraded ? 1 : 0;
+    std::filesystem::path frame_path = out.parent_path();
+    frame_path /= out.stem().string() + "-f" + std::to_string(f) + ext;
+    img::write_pgm(ft.result.final_image, frame_path.string());
+    std::cout << "frame " << f << "  : " << frame_path.string() << " ("
+              << (ft.report.degraded ? "degraded"
+                                     : (ft.report.faulted ? "faulted, recovered" : "clean"))
+              << ")\n";
+  }
+  std::cout << "method   : " << seq.frames.front().result.method << "\n"
+            << "backend  : " << args.procs.transport << " sockets, " << args.procs.procs
+            << " worker process(es)\n"
+            // The one-line accounting CI greps for (respawns=, degraded=).
+            << "sequence : frames=" << seq.frames.size() << ", respawns="
+            << seq.report.respawns << ", degraded=" << degraded_frames
+            << ", faulted=" << faulted_frames << ", stale_rejects="
+            << seq.report.stale_rejects << "\n";
+  pvr::print_fault_report(std::cout, seq.report);
+  return 0;
+}
+
 int run_tool(const Args& args) {
   if (args.sessions > 0) return run_sessions(args, *make_method(args.method));
   if (const auto parent = std::filesystem::path(args.out).parent_path(); !parent.empty()) {
@@ -396,70 +410,37 @@ int run_tool(const Args& args) {
 
   const auto method = make_method(args.method);
 
-  // Intra-rank fan-out is explicit engine configuration now: the thread
-  // backend threads it through ExperimentConfig into every rank's context;
-  // the --procs backend pins it per worker process via ProcOptions.
+  // Intra-rank fan-out is explicit engine configuration: both backends
+  // build every rank's context from ExperimentConfig::engine.
   config.engine.workers_per_rank = args.workers_per_rank;
-
-  // Multi-frame sequence mode: resident workers, camera stepped per frame,
-  // boundary resurrection. Writes one PGM per frame and its own summary.
-  if (args.procs.active() && args.procs.sequence()) {
-    pvr::SequenceProcOptions sopts = slspvr::tools::to_sequence_options(args.procs);
-    sopts.proc.workers_per_rank = args.workers_per_rank;
-    const vol::Dataset dataset =
-        user_dataset ? *user_dataset : vol::make_dataset(args.dataset, args.scale);
-    const pvr::SequenceRunResult seq =
-        pvr::run_compositing_sequence(*method, dataset, config, sopts);
-
-    const std::filesystem::path out(args.out);
-    const std::string ext = out.extension().empty() ? ".pgm" : out.extension().string();
-    int faulted_frames = 0;
-    int degraded_frames = 0;
-    for (std::size_t f = 0; f < seq.frames.size(); ++f) {
-      const pvr::FtMethodResult& ft = seq.frames[f];
-      faulted_frames += ft.report.faulted ? 1 : 0;
-      degraded_frames += ft.report.degraded ? 1 : 0;
-      std::filesystem::path frame_path = out.parent_path();
-      frame_path /= out.stem().string() + "-f" + std::to_string(f) + ext;
-      img::write_pgm(ft.result.final_image, frame_path.string());
-      std::cout << "frame " << f << "  : " << frame_path.string() << " ("
-                << (ft.report.degraded ? "degraded"
-                                       : (ft.report.faulted ? "faulted, recovered" : "clean"))
-                << ")\n";
-    }
-    std::cout << "method   : " << seq.frames.front().result.method << "\n"
-              << "backend  : " << args.procs.transport << " sockets, " << args.procs.procs
-              << " worker process(es)\n"
-              // The one-line accounting CI greps for (respawns=, degraded=).
-              << "sequence : frames=" << seq.frames.size() << ", respawns="
-              << seq.report.respawns << ", degraded=" << degraded_frames
-              << ", faulted=" << faulted_frames << ", stale_rejects="
-              << seq.report.stale_rejects << "\n";
-    pvr::print_fault_report(std::cout, seq.report);
-    return 0;
-  }
 
   pvr::MethodResult result;
   pvr::FaultReport fault_report;
-  const auto execute = [&](const pvr::Experiment& experiment) {
-    if (args.procs.active()) {
-      pvr::ProcOptions popts = slspvr::tools::to_proc_options(args.procs);
-      popts.workers_per_rank = args.workers_per_rank;
-      pvr::FtMethodResult ft = experiment.run_procs(*method, popts);
-      result = std::move(ft.result);
-      fault_report = std::move(ft.report);
-    } else if (args.faults.empty()) {
-      result = experiment.run(*method);
-    } else {
-      pvr::FtMethodResult ft = experiment.run_ft(*method, args.faults);
-      result = std::move(ft.result);
-      fault_report = std::move(ft.report);
-    }
-  };
-  if (user_dataset) {
-    execute(pvr::Experiment(*user_dataset, config));
+  if (args.procs.active()) {
+    // Resident worker processes, camera stepped per frame, boundary
+    // resurrection. One frame is the plain single-frame render below.
+    const vol::Dataset dataset =
+        user_dataset ? *user_dataset : vol::make_dataset(args.dataset, args.scale);
+    pvr::SequenceRunResult seq = pvr::run_compositing_sequence(
+        *method, dataset, config, slspvr::tools::to_sequence_options(args.procs));
+    if (args.procs.sequence()) return write_sequence(args, seq);
+    result = std::move(seq.frames.front().result);
+    fault_report = std::move(seq.frames.front().report);
   } else {
-    execute(pvr::Experiment(config));
+    const auto execute = [&](const pvr::Experiment& experiment) {
+      if (args.faults.empty()) {
+        result = experiment.run(*method);
+      } else {
+        pvr::FtMethodResult ft = experiment.run_ft(*method, args.faults);
+        result = std::move(ft.result);
+        fault_report = std::move(ft.report);
+      }
+    };
+    if (user_dataset) {
+      execute(pvr::Experiment(*user_dataset, config));
+    } else {
+      execute(pvr::Experiment(config));
+    }
   }
 
   img::write_pgm(result.final_image, args.out);
