@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,8 +18,7 @@ void PayloadCodec::encode_rect(const img::Image&, const img::Rect&, const img::R
   throw std::logic_error(std::string(name()) + ": codec does not encode rectangles");
 }
 
-img::Rect PayloadCodec::decode_rect(img::Image&, const img::Rect&, img::UnpackBuffer&, bool,
-                                    Counters&) const {
+img::Rect PayloadCodec::decode_rect(DecodeSink&, const img::Rect&, img::UnpackBuffer&) const {
   throw std::logic_error(std::string(name()) + ": codec does not decode rectangles");
 }
 
@@ -30,24 +27,14 @@ void PayloadCodec::encode_range(const img::Image&, const img::InterleavedRange&,
   throw std::logic_error(std::string(name()) + ": codec does not encode progressions");
 }
 
-void PayloadCodec::decode_range(img::Image&, const img::InterleavedRange&, img::UnpackBuffer&,
-                                bool, Counters&) const {
+void PayloadCodec::decode_range(DecodeSink&, const img::InterleavedRange&,
+                                img::UnpackBuffer&) const {
   throw std::logic_error(std::string(name()) + ": codec does not decode progressions");
-}
-
-img::Rect PayloadCodec::decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                                         img::UnpackBuffer& in) const {
-  return decode_rect(sink.image, part, in, sink.incoming_in_front, sink.counters);
-}
-
-void PayloadCodec::decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
-                                     img::UnpackBuffer& in) const {
-  decode_range(sink.image, part, in, sink.incoming_in_front, sink.counters);
 }
 
 namespace {
 
-// ---- streaming-decode plumbing -------------------------------------------
+// ---- decode plumbing -------------------------------------------------------
 
 EngineScratch& sink_scratch(const DecodeSink& sink, int worker) {
   return sink.engine.scratch(worker);
@@ -55,38 +42,18 @@ EngineScratch& sink_scratch(const DecodeSink& sink, int worker) {
 
 [[nodiscard]] int sink_workers(const DecodeSink& sink) { return sink.engine.workers(); }
 
-[[nodiscard]] bool sink_fused(const DecodeSink& sink) {
-  return sink.engine.config().fused_decode;
-}
-
 /// Fan a banded task across the sink's engine pool (a 1-wide pool runs the
 /// task inline on the caller).
 void run_banded(const DecodeSink& sink, const std::function<void(int)>& fn) {
   sink.engine.pool().run(fn);
 }
 
-/// Reinterpret a borrowed wire section as `T[count]`, bouncing through
-/// `bounce` when the in-buffer address is misaligned for T (possible only if
-/// the transport hands us an oddly based buffer — reinterpreting anyway
-/// would be UB, so the copy is the safe slow path).
-template <typename T>
-const T* aligned_view(std::span<const std::byte> bytes, std::size_t count,
-                      std::vector<T>& bounce) {
-  if ((reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T)) == 0) {
-    return reinterpret_cast<const T*>(bytes.data());
-  }
-  bounce.resize(count);
-  std::memcpy(bounce.data(), bytes.data(), count * sizeof(T));
-  return bounce.data();
-}
-
 /// Band-parallel blend of a raw row-major pixel payload over `rect`,
 /// straight out of the receive buffer (FullPixel / BoundingRect bodies).
 void composite_raw_rect_view(DecodeSink& sink, const img::Rect& rect, img::UnpackBuffer& in) {
-  const std::span<const std::byte> bytes =
-      in.get_bytes(static_cast<std::size_t>(rect.area()) * sizeof(img::Pixel));
-  const img::Pixel* pixels =
-      aligned_view(bytes, static_cast<std::size_t>(rect.area()), sink_scratch(sink, 0).bounce);
+  const auto count = static_cast<std::size_t>(rect.area());
+  const img::Pixel* pixels = wire::typed_view(in.get_bytes(count * sizeof(img::Pixel)), count,
+                                              sink_scratch(sink, 0).bounce);
   const int nworkers = sink_workers(sink);
   img::Image& image = sink.image;
   const bool in_front = sink.incoming_in_front;
@@ -102,10 +69,10 @@ void composite_raw_rect_view(DecodeSink& sink, const img::Rect& rect, img::Unpac
 }
 
 /// Blend one band of an interleaved-RLE message: the strided equivalent of
-/// kern::composite_rle_span, reproducing composite_rle_strided's per-run
-/// gather → composite_span → scatter arithmetic over the band's elements
-/// (runs split at band boundaries change only the chunking, not any pixel's
-/// arithmetic). Returns the number of pixels composited.
+/// kern::composite_rle_span, reproducing the per-run gather → composite_span
+/// → scatter arithmetic of the reference wire::composite_rle_strided over
+/// the band's elements (runs split at band boundaries change only the
+/// chunking, not any pixel's arithmetic). Returns the pixels composited.
 std::int64_t composite_rle_strided_band(img::Image& image, const img::InterleavedRange& range,
                                         const wire::RleView& view, img::kern::RleCursor cur,
                                         std::int64_t pos, std::int64_t n, bool in_front,
@@ -152,14 +119,8 @@ class FullPixelCodec final : public PayloadCodec {
     wire::pack_rect_pixels(image, part, buf);
     counters.pixels_sent += part.area();
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect& part, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    wire::unpack_composite_rect(image, part, in, incoming_in_front, counters);
-    return part;
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                             img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
+  img::Rect decode_rect(DecodeSink& sink, const img::Rect& part,
+                        img::UnpackBuffer& in) const override {
     composite_raw_rect_view(sink, part, in);
     return part;
   }
@@ -177,14 +138,8 @@ class BoundingRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_raw_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_raw_rect(image, in, image.bounds(), incoming_in_front,
-                                           counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                             img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
+  img::Rect decode_rect(DecodeSink& sink, const img::Rect&,
+                        img::UnpackBuffer& in) const override {
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (!rect.empty()) composite_raw_rect_view(sink, rect, in);
     return rect;
@@ -204,14 +159,8 @@ class RleRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_rle_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_rle_rect(image, in, image.bounds(), incoming_in_front,
-                                           counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                             img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
+  img::Rect decode_rect(DecodeSink& sink, const img::Rect&,
+                        img::UnpackBuffer& in) const override {
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (rect.empty()) return rect;
     EngineScratch& s0 = sink_scratch(sink, 0);
@@ -262,14 +211,8 @@ class SpanRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_span_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_span_rect(image, in, image.bounds(), incoming_in_front,
-                                            counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                             img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
+  img::Rect decode_rect(DecodeSink& sink, const img::Rect&,
+                        img::UnpackBuffer& in) const override {
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (rect.empty()) return rect;
     const wire::SpanView view = wire::parse_spans_view(in, rect, sink_scratch(sink, 0).bounce);
@@ -333,15 +276,8 @@ class InterleavedRleCodec final : public PayloadCodec {
     buf.reserve(buf.size() + static_cast<std::size_t>(rle.wire_bytes()));
     wire::pack_rle(rle, buf);
   }
-  void decode_range(img::Image& image, const img::InterleavedRange& part,
-                    img::UnpackBuffer& in, bool incoming_in_front,
-                    Counters& counters) const override {
-    const img::Rle incoming = wire::parse_rle(in, part.count);
-    wire::composite_rle_strided(image, part, incoming, incoming_in_front, counters);
-  }
-  void decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
-                         img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_range_into(sink, part, in);
+  void decode_range(DecodeSink& sink, const img::InterleavedRange& part,
+                    img::UnpackBuffer& in) const override {
     EngineScratch& s0 = sink_scratch(sink, 0);
     const wire::RleView view = wire::parse_rle_view(in, part.count, s0.bounce, s0.code_bounce);
     const int nworkers = sink_workers(sink);

@@ -32,11 +32,10 @@ enum class CodecKind {
 
 class EngineContext;  // core/worker_pool.hpp
 
-/// Destination context for the streaming decode path (decode_*_into): the
-/// frame to blend into, the blend order, the counters to charge, and the
-/// per-rank engine context supplying configuration (fused on/off) and the
-/// worker pool + scratch for band-parallel blending (a 1-wide pool runs
-/// inline on the caller).
+/// Where a decode blends: the frame to blend into, the blend order, the
+/// counters to charge, and the per-rank engine context supplying the worker
+/// pool + scratch for band-parallel blending (a 1-wide pool runs inline on
+/// the caller).
 struct DecodeSink {
   img::Image& image;
   bool incoming_in_front;
@@ -66,32 +65,22 @@ class PayloadCodec {
                            const img::Rect& clip, img::PackBuffer& buf,
                            Counters& counters) const;
 
-  /// Decode one message covering `part` and composite it into `image`.
-  /// Returns the rectangle the message actually covered (for trackers).
-  virtual img::Rect decode_rect(img::Image& image, const img::Rect& part,
-                                img::UnpackBuffer& in, bool incoming_in_front,
-                                Counters& counters) const;
+  /// Decode one message covering `part` and composite it into the sink's
+  /// frame straight out of the receive buffer (no unpacked intermediate),
+  /// band-parallel across the sink's engine pool by rectangle rows. Returns
+  /// the rectangle the message actually covered (for trackers). Byte- and
+  /// counter-identical to the per-message reference decoders in core/wire
+  /// at any worker count: bands only repartition who blends which pixels,
+  /// never a pixel's arithmetic or its order.
+  virtual img::Rect decode_rect(DecodeSink& sink, const img::Rect& part,
+                                img::UnpackBuffer& in) const;
 
-  /// Scalar variants over interleaved progressions.
+  /// Scalar variants over interleaved progressions; decode_range bands by
+  /// element chunks.
   virtual void encode_range(const img::Image& image, const img::InterleavedRange& part,
                             img::PackBuffer& buf, Counters& counters) const;
-  virtual void decode_range(img::Image& image, const img::InterleavedRange& part,
-                            img::UnpackBuffer& in, bool incoming_in_front,
-                            Counters& counters) const;
-
-  /// Streaming decode: composite one message straight out of the receive
-  /// buffer (no unpacked intermediate), band-parallel across the sink's
-  /// engine pool — row bands for rect codecs, element chunks for scalar
-  /// ones. Byte-identical to decode_rect/decode_range by construction (same
-  /// per-pixel arithmetic in the same order within every pixel; bands only
-  /// repartition who blends which rows). The default delegates to the
-  /// materializing decoders; overrides also fall back to them when the
-  /// sink's engine config has fused_decode off, so the legacy path stays
-  /// benchmarkable.
-  virtual img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                                     img::UnpackBuffer& in) const;
-  virtual void decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
-                                 img::UnpackBuffer& in) const;
+  virtual void decode_range(DecodeSink& sink, const img::InterleavedRange& part,
+                            img::UnpackBuffer& in) const;
 };
 
 /// Shared stateless instance of each codec.

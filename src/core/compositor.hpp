@@ -49,10 +49,10 @@ struct Ownership {
 ///    reserved for out-of-phase traffic, e.g. the final gather);
 ///  * respect the front/back decisions in `order`;
 ///  * account every over/encode/scan operation in `counters`;
-///  * take every engine knob (worker fan-out, fused decode, scratch) from
-///    `engine` — there is no process-global engine state, so concurrent
-///    frames in one process are correct as long as each passes its own
-///    context (EngineArena pools per-rank contexts across a session).
+///  * take every engine knob (worker fan-out, scratch) from `engine` —
+///    there is no process-global engine state, so concurrent frames in one
+///    process are correct as long as each passes its own context
+///    (EngineArena pools per-rank contexts across a session).
 class Compositor {
  public:
   virtual ~Compositor() = default;
@@ -63,8 +63,8 @@ class Compositor {
                               Counters& counters, EngineContext& engine) const = 0;
 
   /// Convenience overload: run with a one-shot default engine context
-  /// (single worker, fused decode) constructed for this call — the
-  /// historical single-thread behaviour, byte-identical by construction.
+  /// (single worker) constructed for this call — the historical
+  /// single-thread behaviour, byte-identical by construction.
   Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
                       Counters& counters) const;
 

@@ -105,8 +105,9 @@ void composite_own_range(WorkerPool& pool, img::Image& result, const img::Image&
 /// progression of `elems` contiguous into `dst` (the compaction) and, when a
 /// message arrived, blend its RLE payload over `dst` in place. Both steps
 /// band across the pool; each element's gather and blend arithmetic is
-/// exactly the legacy composite_rle_strided's, so the compacted array equals
-/// the frame values the in-place engine would hold at those positions.
+/// exactly the reference wire::composite_rle_strided's, so the compacted
+/// array equals the frame values the in-place engine would hold at those
+/// positions.
 /// Returns the number of pixels composited (the non-blank payload total).
 std::int64_t soa_compact_blend(WorkerPool& pool, const img::Pixel* elems,
                                const img::InterleavedRange& ekeep, const wire::RleView* view,
@@ -186,11 +187,11 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
 
   img::PackBuffer& buf = pool.scratch(0).pack;
 
-  // BSLC SoA fast path (scalar, pairwise, fused, fanned out): keep the
-  // progression compacted contiguous in scratch between stages instead of
-  // strided across the whole frame. Encode reads one dense array; decode
-  // compacts and blends in one banded pass. The compaction pass touches
-  // every kept element (blank or not), which only pays off when its bands
+  // BSLC SoA fast path (scalar, pairwise, fanned out): keep the progression
+  // compacted contiguous in scratch between stages instead of strided across
+  // the whole frame. Encode reads one dense array; decode compacts and
+  // blends in one banded pass. The compaction pass touches every kept
+  // element (blank or not), which only pays off when its bands
   // actually run in parallel — with a 1-wide pool the in-place strided walk
   // touches strictly less memory, so SoA engages only for wider pools.
   // `elems`/`ecount` track the compacted progression (initially the frame
@@ -198,8 +199,7 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
   // ownership descriptor for the final scatter and the returned Ownership.
   // Byte-identical wire bytes, counters and owned pixels — only where
   // intermediates live changes.
-  const bool soa = scalar && plan.front == FrontRule::kSwapBit &&
-                   engine.config().fused_decode && pool.workers() > 1;
+  const bool soa = scalar && plan.front == FrontRule::kSwapBit && pool.workers() > 1;
   const img::Pixel* elems = image.pixels().data();
   std::int64_t ecount = image.pixel_count();
   std::vector<img::Pixel>* soa_buf = nullptr;  // null = `elems` is the frame
@@ -304,10 +304,10 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
         img::UnpackBuffer in(received);
         DecodeSink sink{image, in_front, counters, engine};
         if (scalar) {
-          codec.decode_range_into(sink, sparts[static_cast<std::size_t>(rs.keep)], in);
+          codec.decode_range(sink, sparts[static_cast<std::size_t>(rs.keep)], in);
         } else {
           recv_union =
-              img::bounding_union(recv_union, codec.decode_rect_into(sink, keep_rect, in));
+              img::bounding_union(recv_union, codec.decode_rect(sink, keep_rect, in));
         }
       }
     } else {
@@ -337,10 +337,10 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
         // behind: local over incoming.
         DecodeSink sink{result, /*incoming_in_front=*/false, counters, engine};
         if (scalar) {
-          codec.decode_range_into(sink, sparts[static_cast<std::size_t>(rs.keep)], in);
+          codec.decode_range(sink, sparts[static_cast<std::size_t>(rs.keep)], in);
         } else {
           recv_union =
-              img::bounding_union(recv_union, codec.decode_rect_into(sink, keep_rect, in));
+              img::bounding_union(recv_union, codec.decode_rect(sink, keep_rect, in));
         }
         ++composited;
       }

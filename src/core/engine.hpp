@@ -18,10 +18,10 @@
 namespace slspvr::core {
 
 /// Execute `plan` with `codec` payloads. Runs SPMD on every rank, exactly
-/// like Compositor::composite. All engine state — worker fan-out, fused
-/// decode, the send-buffer arena, the depth-order scratch frame — comes
-/// from `engine`, which the loop holds exclusively for the duration of the
-/// call (a second frame passing the same context throws). Requirements:
+/// like Compositor::composite. All engine state — worker fan-out, the
+/// send-buffer arena, the depth-order scratch frame — comes from `engine`,
+/// which the loop holds exclusively for the duration of the call (a second
+/// frame passing the same context throws). Requirements:
 ///  * plan.ranks == comm.size();
 ///  * kSwapBit plans pair on rank bit s at stage s (binary swap, tree);
 ///  * kDepthOrder plans need `order.front_to_back` to cover every rank;

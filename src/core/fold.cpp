@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/wire.hpp"
+#include "core/codec.hpp"
 
 namespace slspvr::core {
 
@@ -38,13 +38,14 @@ Ownership FoldCompositor::composite(mp::Comm& comm, img::Image& image,
   const bool ascending_front =
       order.front_to_back.empty() || order.front_to_back.front() == 0;
 
+  // The pre-stage ships BSBRC-style: rect header + codes + pixels.
+  const PayloadCodec& codec = codec_for(CodecKind::kRleRect);
   comm.set_stage(1);  // fold pre-stage
   if (!plan.is_leader(rank)) {
-    // Ship our whole subimage BSBRC-style: rect header + codes + pixels.
     const img::Rect rect =
         img::bounding_rect_of(image, image.bounds(), &counters.rect_scanned);
     img::PackBuffer buf;
-    wire::pack_rle_rect(image, rect, buf, counters);
+    codec.encode_rect(image, image.bounds(), rect, buf, counters);
     comm.send(plan.leader_of(rank), kFoldTag, buf.bytes());
     comm.set_stage(0);
     return Ownership::full_rect(img::kEmptyRect);
@@ -57,8 +58,8 @@ Ownership FoldCompositor::composite(mp::Comm& comm, img::Image& image,
     img::UnpackBuffer in(bytes);
     // The member is the deeper slab when slab order ascends toward the
     // back, so its pixels are behind exactly when ascending_front.
-    (void)wire::unpack_composite_rle_rect(image, in, image.bounds(),
-                                          /*incoming_in_front=*/!ascending_front, counters);
+    DecodeSink sink{image, /*incoming_in_front=*/!ascending_front, counters, engine};
+    (void)codec.decode_rect(sink, image.bounds(), in);
   }
 
   // Leaders run the inner method among themselves.

@@ -11,7 +11,7 @@ namespace slspvr::core {
 
 Ownership Compositor::composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
                                 Counters& counters) const {
-  EngineContext engine;  // single worker, fused decode — the defaults
+  EngineContext engine;  // single worker — the default
   return composite(comm, image, order, counters, engine);
 }
 

@@ -1,9 +1,14 @@
 // Wire helpers shared by the binary-swap family: packing raw rectangles,
-// run-length encoded rectangles, and run-length encoded interleaved ranges
-// into send buffers, and compositing them back out of receive buffers.
+// run-length encoded rectangles, scanline spans and run-length encoded
+// interleaved ranges into send buffers; zero-copy views that the codecs'
+// decoders (core/codec.hpp) blend straight out of receive buffers; and the
+// per-message reference decoders those views are checked against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/counters.hpp"
@@ -15,14 +20,10 @@
 
 namespace slspvr::core::wire {
 
+// ---- encoders --------------------------------------------------------------
+
 /// Append the raw pixels of `rect` (row-major) to `buf`.
 void pack_rect_pixels(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf);
-
-/// Composite raw rect pixels from `buf` into `image` over `rect`.
-/// Every pixel of the rectangle costs one over op (the BSBR disadvantage:
-/// blank pixels inside the rectangle are shipped and composited too).
-void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::UnpackBuffer& buf,
-                           bool incoming_in_front, Counters& counters);
 
 /// Run-length encode the pixels of `rect` in row-major order.
 /// Counts rect.area() encoded pixels and the emitted codes.
@@ -48,10 +49,43 @@ void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::Unpack
 /// 2*#codes + 16*#pixels (the R_code / A_opaque terms of Eqs. 6 and 8).
 void pack_rle(const img::Rle& rle, img::PackBuffer& buf);
 
-/// Parse an Rle representing `expected_length` pixels from `buf`.
-/// Throws img::DecodeError when the codes overshoot the expected sequence
-/// length or the buffer is truncated — never reads out of bounds.
-[[nodiscard]] img::Rle parse_rle(img::UnpackBuffer& buf, std::int64_t expected_length);
+/// Span-encode the pixels of `rect` (the future-work scanline-span
+/// encoding; see image/spans.hpp); counts rect.area() encoded pixels and one
+/// "code" per row plus two per span (matching its 2-byte units so the cost
+/// model's R_code term stays comparable with the RLE methods).
+[[nodiscard]] img::SpanImage encode_spans(const img::Image& image, const img::Rect& rect,
+                                          Counters& counters);
+
+/// Append a SpanImage (rows, spans, pixels — rect is shipped separately).
+void pack_spans(const img::SpanImage& spans, img::PackBuffer& buf);
+
+// The WireRect-then-payload sequences BSBR/BSBRC/BSBRS/Fold ship. One shared
+// copy keeps the header handling identical across every method that ships
+// a rectangle.
+
+/// BSBR wire format: 8 B WireRect, then the rectangle's raw pixels (nothing
+/// when the rectangle is empty). Adds rect.area() to pixels_sent.
+void pack_raw_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
+                   Counters& counters);
+
+/// BSBRC wire format: 8 B WireRect, then the rectangle's row-major RLE
+/// (codes + non-blank pixels). Adds the non-blank count to pixels_sent.
+void pack_rle_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
+                   Counters& counters);
+
+/// BSBRS wire format: 8 B WireRect, then the rectangle's scanline spans.
+void pack_span_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
+                    Counters& counters);
+
+// ---- streaming views (what every decode reads) -----------------------------
+// The codecs' decoders blend straight out of the receive buffer, so instead
+// of materializing img::Rle / img::SpanImage (allocating and copying codes
+// and pixels) they take zero-copy *views* of the payload. Validation is the
+// same as the reference parsers below — truncation, overshooting code
+// totals, out-of-frame rectangles and out-of-rect spans all throw
+// img::DecodeError before any pixel is touched. Pixel payloads land 2-mod-4
+// whenever an odd number of 2-byte codes precedes them; a misaligned section
+// is copied once into the caller's bounce vector.
 
 /// Parse an 8-byte wire rectangle and validate it against `bounds`: the
 /// rectangle must be empty or well-formed and fully inside `bounds`.
@@ -59,60 +93,19 @@ void pack_rle(const img::Rle& rle, img::PackBuffer& buf);
 /// not drive out-of-bounds pixel writes in the compositing loops).
 [[nodiscard]] img::Rect parse_rect(img::UnpackBuffer& buf, const img::Rect& bounds);
 
-/// Composite an Rle whose sequence is the row-major scan of `rect`.
-/// Only non-blank pixels are composited (one over op each).
-void composite_rle_rect(img::Image& image, const img::Rect& rect, const img::Rle& rle,
-                        bool incoming_in_front, Counters& counters);
-
-/// Composite an Rle whose sequence is the interleaved progression `range`.
-void composite_rle_strided(img::Image& image, const img::InterleavedRange& range,
-                           const img::Rle& rle, bool incoming_in_front, Counters& counters);
-
-// ---- header + payload sequences ------------------------------------------
-// The WireRect-then-payload pack/parse sequences BSBR/BSBRC/BSBRS/Fold used
-// to each spell out inline. One shared copy keeps the header handling (and
-// its bounds checks) identical across every method that ships a rectangle.
-
-/// BSBR wire format: 8 B WireRect, then the rectangle's raw pixels (nothing
-/// when the rectangle is empty). Adds rect.area() to pixels_sent.
-void pack_raw_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
-                   Counters& counters);
-
-/// Parse a pack_raw_rect message and composite it into `image`. The header
-/// rectangle is validated against `bounds` before any pixel is touched.
-/// Returns the received rectangle (empty when the sender had nothing).
-[[nodiscard]] img::Rect unpack_composite_raw_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                  const img::Rect& bounds,
-                                                  bool incoming_in_front, Counters& counters);
-
-/// BSBRC wire format: 8 B WireRect, then the rectangle's row-major RLE
-/// (codes + non-blank pixels). Adds the non-blank count to pixels_sent.
-void pack_rle_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
-                   Counters& counters);
-
-/// Parse a pack_rle_rect message and composite its non-blank pixels.
-[[nodiscard]] img::Rect unpack_composite_rle_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                  const img::Rect& bounds,
-                                                  bool incoming_in_front, Counters& counters);
-
-/// BSBRS wire format: 8 B WireRect, then the rectangle's scanline spans.
-void pack_span_rect(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf,
-                    Counters& counters);
-
-/// Parse a pack_span_rect message and composite its span pixels.
-[[nodiscard]] img::Rect unpack_composite_span_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                   const img::Rect& bounds,
-                                                   bool incoming_in_front, Counters& counters);
-
-// ---- streaming views (fused decode→composite path) -----------------------
-// The fused decoders blend straight out of the receive buffer, so instead of
-// materializing img::Rle / img::SpanImage (allocating and copying codes and
-// pixels) they take zero-copy *views* of the payload. Validation is the same
-// as the materializing parsers — truncation, overshooting code totals and
-// out-of-rect spans all throw img::DecodeError before any pixel is touched.
-// Pixel payloads land 2-mod-4 whenever an odd number of 2-byte codes
-// precedes them; a misaligned section is copied once into the caller's
-// bounce vector (still cheaper than the full materializing parse).
+/// Reinterpret a borrowed wire section as `T[count]`, bouncing through
+/// `bounce` when the in-buffer address is not aligned for T. The returned
+/// pointer aliases either the message or the bounce vector.
+template <typename T>
+const T* typed_view(std::span<const std::byte> bytes, std::size_t count,
+                    std::vector<T>& bounce) {
+  if ((reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T)) == 0) {
+    return reinterpret_cast<const T*>(bytes.data());
+  }
+  bounce.resize(count);
+  if (count != 0) std::memcpy(bounce.data(), bytes.data(), count * sizeof(T));
+  return bounce.data();
+}
 
 /// Zero-copy view of a pack_rle message: codes + payload, still in `buf`.
 struct RleView {
@@ -142,16 +135,35 @@ struct SpanView {
 [[nodiscard]] SpanView parse_spans_view(img::UnpackBuffer& buf, const img::Rect& rect,
                                         std::vector<img::Pixel>& pixel_bounce);
 
-// ---- scanline-span codec (future-work encoding; see image/spans.hpp) -----
+// ---- per-message reference decoders ----------------------------------------
+// Unpack-then-blend decoders: each materializes the message (img::Rle,
+// img::SpanImage, a row vector) and then blends it one run or row at a time
+// on the calling thread. Nothing in the engine calls them. They are the
+// oracle the codecs' streaming decoders are held to, as
+// render::render_brick_reference is for the ray caster:
+// tests/test_streaming_decode.cpp requires byte- and counter-identical
+// results per message, and tests/test_decode_fuzz.cpp feeds both mutated
+// bytes.
 
-/// Span-encode the pixels of `rect`; counts rect.area() encoded pixels and
-/// one "code" per row plus two per span (matching its 2-byte units so the
-/// cost model's R_code term stays comparable with the RLE methods).
-[[nodiscard]] img::SpanImage encode_spans(const img::Image& image, const img::Rect& rect,
-                                          Counters& counters);
+/// Composite raw rect pixels from `buf` into `image` over `rect`.
+/// Every pixel of the rectangle costs one over op (the BSBR disadvantage:
+/// blank pixels inside the rectangle are shipped and composited too).
+void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::UnpackBuffer& buf,
+                           bool incoming_in_front, Counters& counters);
 
-/// Append a SpanImage (rows, spans, pixels — rect is shipped separately).
-void pack_spans(const img::SpanImage& spans, img::PackBuffer& buf);
+/// Parse an Rle representing `expected_length` pixels from `buf`.
+/// Throws img::DecodeError when the codes overshoot the expected sequence
+/// length or the buffer is truncated — never reads out of bounds.
+[[nodiscard]] img::Rle parse_rle(img::UnpackBuffer& buf, std::int64_t expected_length);
+
+/// Composite an Rle whose sequence is the row-major scan of `rect`.
+/// Only non-blank pixels are composited (one over op each).
+void composite_rle_rect(img::Image& image, const img::Rect& rect, const img::Rle& rle,
+                        bool incoming_in_front, Counters& counters);
+
+/// Composite an Rle whose sequence is the interleaved progression `range`.
+void composite_rle_strided(img::Image& image, const img::InterleavedRange& range,
+                           const img::Rle& rle, bool incoming_in_front, Counters& counters);
 
 /// Parse a SpanImage for the known `rect` from `buf`.
 [[nodiscard]] img::SpanImage parse_spans(img::UnpackBuffer& buf, const img::Rect& rect);
@@ -159,5 +171,22 @@ void pack_spans(const img::SpanImage& spans, img::PackBuffer& buf);
 /// Composite the span pixels into `image` (over ops = non-blank count).
 void composite_spans(img::Image& image, const img::SpanImage& spans,
                      bool incoming_in_front, Counters& counters);
+
+/// Parse a pack_raw_rect message and composite it into `image`. The header
+/// rectangle is validated against `bounds` before any pixel is touched.
+/// Returns the received rectangle (empty when the sender had nothing).
+[[nodiscard]] img::Rect unpack_composite_raw_rect(img::Image& image, img::UnpackBuffer& buf,
+                                                  const img::Rect& bounds,
+                                                  bool incoming_in_front, Counters& counters);
+
+/// Parse a pack_rle_rect message and composite its non-blank pixels.
+[[nodiscard]] img::Rect unpack_composite_rle_rect(img::Image& image, img::UnpackBuffer& buf,
+                                                  const img::Rect& bounds,
+                                                  bool incoming_in_front, Counters& counters);
+
+/// Parse a pack_span_rect message and composite its span pixels.
+[[nodiscard]] img::Rect unpack_composite_span_rect(img::Image& image, img::UnpackBuffer& buf,
+                                                   const img::Rect& bounds,
+                                                   bool incoming_in_front, Counters& counters);
 
 }  // namespace slspvr::core::wire

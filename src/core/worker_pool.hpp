@@ -2,7 +2,7 @@
 //
 // A rank used to be exactly one thread, and the engine's scratch arenas were
 // thread_local on the strength of that invariant; the tile-parallel engine
-// then kept its knobs (workers-per-rank, fused decode) in process globals.
+// then kept its knobs in process globals.
 // Both break down the moment two frames composite concurrently in one
 // process — the frames race on configuration and share scratch. This header
 // replaces them with explicit state:
@@ -43,7 +43,7 @@ namespace slspvr::core {
 /// arenas. Worker 0's `pack` and `frame` are the rank-level arenas (the
 /// send-buffer arena and the depth-order ping-pong frame); every worker's
 /// staging vectors back the strided gather/blend/scatter bands and the
-/// misaligned-payload bounce copies of the streaming decode path.
+/// misaligned-payload bounce copies of the codecs' decoders.
 struct EngineScratch {
   img::PackBuffer pack;                  ///< send-buffer arena (worker 0)
   img::Image frame;                      ///< depth-order scratch frame (worker 0)
@@ -98,29 +98,22 @@ struct EngineConfig {
   /// Intra-rank worker lanes (1 = the historical one-thread-per-rank
   /// engine; values < 1 are clamped to 1 by EngineContext).
   int workers_per_rank = 1;
-  /// Fused decode→composite streaming path (default on). Off restores the
-  /// historical unpack-then-blend decode — byte-identical output either
-  /// way; slspvr-perf benches both.
-  bool fused_decode = true;
 };
 
-/// One rank's engine instance: immutable config, a WorkerPool sized to it,
-/// and the per-worker scratch the pool owns. Exactly one frame may use a
+/// One rank's engine instance: a WorkerPool sized to its config, and the
+/// per-worker scratch the pool owns. Exactly one frame may use a
 /// context at a time — plan_composite acquires the context for the duration
 /// of the stage loop and throws if it is already held, so the concurrency
 /// bug the old process globals allowed is a deterministic error now.
 class EngineContext {
  public:
   explicit EngineContext(const EngineConfig& config = {})
-      : config_{config.workers_per_rank < 1 ? 1 : config.workers_per_rank,
-                config.fused_decode},
-        pool_(config_.workers_per_rank) {}
+      : pool_(config.workers_per_rank < 1 ? 1 : config.workers_per_rank) {}
   EngineContext(const EngineContext&) = delete;
   EngineContext& operator=(const EngineContext&) = delete;
 
-  [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
-  [[nodiscard]] int workers() const noexcept { return config_.workers_per_rank; }
+  [[nodiscard]] int workers() const noexcept { return pool_.workers(); }
   [[nodiscard]] EngineScratch& scratch(int worker) { return pool_.scratch(worker); }
 
   /// The rank's depth-order scratch frame (worker 0's arena): reused when
@@ -153,7 +146,6 @@ class EngineContext {
   };
 
  private:
-  EngineConfig config_;
   WorkerPool pool_;
   std::atomic<bool> in_use_{false};
 };

@@ -134,7 +134,8 @@ std::string FaultReport::summary() const {
   out += "), " + std::to_string(pixels_lost) + " rendered pixel(s) lost, " +
          std::to_string(retries) + " retry round(s): ";
   if (resumed) {
-    out += "finished via mid-frame repair from epoch " + std::to_string(resume_epoch);
+    out += "finished via mid-frame repair";
+    if (resume_epoch >= 0) out += " from epoch " + std::to_string(resume_epoch);
   } else if (degraded) {
     out += "finished degraded from the survivors";
   } else {

@@ -46,9 +46,8 @@ struct ExperimentConfig {
   bool distributed_partitioning = false;
   float step = 1.0f;                ///< ray sampling step (voxels)
   core::CostModel cost_model = core::CostModel::sp2();
-  /// Per-frame engine knobs (intra-rank workers, fused decode) — threaded
-  /// explicitly into every compositing run; there is no process-global
-  /// engine state to set.
+  /// Per-frame engine knobs (intra-rank workers) — threaded explicitly into
+  /// every compositing run; there is no process-global engine state to set.
   core::EngineConfig engine;
 };
 
@@ -74,7 +73,9 @@ struct FaultReport {
   /// from their retained stage-`resume_epoch` partials instead of
   /// recompositing from scratch (mutually exclusive with `degraded`).
   bool resumed = false;
-  int resume_epoch = -1;  ///< completed stages the repair resumed from
+  /// Completed stages the repair resumed from; -1 when unknown (an
+  /// aggregate over frames that resumed from different epochs).
+  int resume_epoch = -1;
   int retries = 0;        ///< recovery rounds (resume attempt + degraded)
   std::vector<int> failed_ranks;   ///< original ranks folded out, ascending
   std::vector<FaultEvent> events;  ///< every failure observed, all attempts

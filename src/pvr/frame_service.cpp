@@ -1,8 +1,6 @@
 #include "pvr/frame_service.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -18,15 +16,6 @@ double ms_since(std::chrono::steady_clock::time_point start,
 }
 
 }  // namespace
-
-double latency_percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(values.size()));
-  const auto index = static_cast<std::size_t>(
-      std::clamp<double>(rank - 1.0, 0.0, static_cast<double>(values.size() - 1)));
-  return values[index];
-}
 
 FrameService::FrameService(const FrameServiceConfig& config) : config_(config) {
   if (config_.max_in_flight < 1) {
@@ -164,14 +153,13 @@ void FrameService::executor_loop() {
       ++in_flight_;
     }
 
-    FrameResult result = execute(*claimed, std::move(pending));
+    execute(*claimed, std::move(pending));
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
       claimed->in_flight = false;
       --in_flight_;
       ++stats_.completed;
-      stats_.latencies_ms.push_back(result.latency_ms);
       // Post-frame shrink-or-reset: the session never advertises scratch
       // sized for anything but its own frames.
       claimed->arena.trim(static_cast<std::int64_t>(claimed->config.image_size) *
@@ -182,7 +170,7 @@ void FrameService::executor_loop() {
   }
 }
 
-FrameResult FrameService::execute(Session& session, Pending pending) {
+void FrameService::execute(Session& session, Pending pending) {
   const auto dispatched = std::chrono::steady_clock::now();
   FrameResult out;
   out.session = session.id;
@@ -226,10 +214,6 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
   out.run_ms = ms_since(dispatched, finished);
   out.latency_ms = ms_since(pending.enqueued, finished);
   pending.promise.set_value(std::move(out));
-
-  FrameResult summary;  // the executor's bookkeeping copy (latency only)
-  summary.latency_ms = ms_since(pending.enqueued, finished);
-  return summary;
 }
 
 }  // namespace slspvr::pvr

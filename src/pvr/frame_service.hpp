@@ -26,8 +26,8 @@
 //
 // This is the subsystem the explicit EngineContext refactor unblocks: with
 // engine state process-global, two concurrent frames would have raced on
-// the workers/fused knobs and the per-thread scratch; with per-session
-// arenas they compose.
+// the worker knob and the per-thread scratch; with per-session arenas they
+// compose.
 #pragma once
 
 #include <condition_variable>
@@ -57,7 +57,7 @@ struct SessionConfig {
   double volume_scale = 0.25;
   int image_size = 96;
   int ranks = 4;
-  core::EngineConfig engine;  ///< per-session engine knobs (workers, fused)
+  core::EngineConfig engine;  ///< per-session engine knobs (workers)
   core::CostModel cost_model = core::CostModel::sp2();
 };
 
@@ -92,17 +92,14 @@ struct FrameServiceConfig {
   OverloadPolicy overload = OverloadPolicy::kRejectNew;
 };
 
-/// Aggregate service counters plus the completed-frame latency sample.
+/// Aggregate service counters, fixed in size however long the service runs;
+/// each frame's queue, run and latency times ride its FrameResult.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;      ///< kShedOldest drops
   std::uint64_t rejected = 0;  ///< kRejectNew bounces
-  std::vector<double> latencies_ms;  ///< one entry per completed frame
 };
-
-/// p in [0, 100] over a copy of `values` (nearest-rank); 0 when empty.
-[[nodiscard]] double latency_percentile(std::vector<double> values, double p);
 
 class FrameService {
  public:
@@ -159,7 +156,7 @@ class FrameService {
   };
 
   void executor_loop();
-  FrameResult execute(Session& session, Pending pending);
+  void execute(Session& session, Pending pending);
 
   FrameServiceConfig config_;
   mutable std::mutex mutex_;

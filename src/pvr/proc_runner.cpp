@@ -548,7 +548,12 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
 
     out.report.faulted = out.report.faulted || ft.report.faulted;
     out.report.degraded = out.report.degraded || ft.report.degraded;
-    out.report.resumed = out.report.resumed || ft.report.resumed;
+    if (ft.report.resumed) {
+      // The aggregate names an epoch only while every repaired frame agrees.
+      const bool agrees = !out.report.resumed || out.report.resume_epoch == ft.report.resume_epoch;
+      out.report.resume_epoch = agrees ? ft.report.resume_epoch : -1;
+      out.report.resumed = true;
+    }
     out.report.retries += ft.report.retries;
     out.report.pixels_lost += ft.report.pixels_lost;
     out.report.retry_stats += ft.report.retry_stats;

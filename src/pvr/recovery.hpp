@@ -89,8 +89,8 @@ struct Attempt {
 /// either rethrow or fold the failed ranks out and retry. With a non-null
 /// `store`, every rank retains per-stage partials for mid-frame repair.
 /// Rank r composites with `arena->context(r)`; a null arena gets a one-shot
-/// default arena (single worker, fused decode) for this attempt. The arena
-/// is grown on the calling thread before any rank thread spawns.
+/// default arena (single worker) for this attempt. The arena is grown on the
+/// calling thread before any rank thread spawns.
 [[nodiscard]] Attempt run_attempt(const core::Compositor& method,
                                   const std::vector<img::Image>& subimages,
                                   const core::SwapOrder& order, const core::CostModel& model,

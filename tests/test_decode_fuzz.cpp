@@ -1,6 +1,8 @@
 // Deterministic decode fuzzing: seed-mutated byte buffers (random flips,
 // truncations, oversized length fields, appended garbage) pushed through
-// every wire.hpp unpack helper and the transport envelope parser. Each
+// every wire.hpp decoder (the streaming views and the per-message
+// reference unpackers), every codec's decode (the path every frame takes)
+// on a 1-wide and a 3-wide engine, and the transport envelope parser. Each
 // decoder must either succeed or reject with its typed error — never read
 // out of bounds (the ASan/UBSan CI jobs turn any violation into a failure).
 #include <gtest/gtest.h>
@@ -8,11 +10,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/codec.hpp"
 #include "core/counters.hpp"
 #include "core/wire.hpp"
+#include "core/worker_pool.hpp"
 #include "mp/envelope.hpp"
 #include "mp/socket.hpp"
 #include "test_helpers.hpp"
@@ -27,6 +32,8 @@ namespace {
 
 constexpr img::Rect kBounds{0, 0, 32, 24};
 constexpr img::Rect kRect{4, 4, 20, 16};
+/// An interleaved progression inside kBounds (elements 1, 4, ..., 763).
+constexpr img::InterleavedRange kRange{1, 3, 255};
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
@@ -108,11 +115,29 @@ std::vector<FuzzTarget> make_targets() {
   }
   {
     img::PackBuffer buf;
+    wire::pack_rle(wire::encode_rect(source, kRect, counters), buf);
+    targets.push_back({"parse_rle_view", {buf.bytes().begin(), buf.bytes().end()},
+                       [](const std::vector<std::byte>& bytes) {
+                         std::vector<img::Pixel> pixel_bounce;
+                         std::vector<std::uint16_t> code_bounce;
+                         img::UnpackBuffer in(bytes);
+                         (void)wire::parse_rle_view(in, kRect.area(), pixel_bounce,
+                                                    code_bounce);
+                       }});
+  }
+  {
+    img::PackBuffer buf;
     wire::pack_spans(wire::encode_spans(source, kRect, counters), buf);
     targets.push_back({"parse_spans", {buf.bytes().begin(), buf.bytes().end()},
                        [](const std::vector<std::byte>& bytes) {
                          img::UnpackBuffer in(bytes);
                          (void)wire::parse_spans(in, kRect);
+                       }});
+    targets.push_back({"parse_spans_view", {buf.bytes().begin(), buf.bytes().end()},
+                       [](const std::vector<std::byte>& bytes) {
+                         std::vector<img::Pixel> pixel_bounce;
+                         img::UnpackBuffer in(bytes);
+                         (void)wire::parse_spans_view(in, kRect, pixel_bounce);
                        }});
   }
   {
@@ -157,6 +182,42 @@ std::vector<FuzzTarget> make_targets() {
                          core::Counters c;
                          img::UnpackBuffer in(bytes);
                          (void)wire::unpack_composite_span_rect(image, in, kBounds, true, c);
+                       }});
+  }
+  // Every codec's decode into a fresh frame, through a 1-wide engine (the
+  // blend runs inline) and a 3-wide one (it bands across pool threads).
+  // Each target builds its engine once and reuses it for every mutation.
+  for (const int workers : {1, 3}) {
+    const std::string width = " x" + std::to_string(workers);
+    for (const core::CodecKind kind :
+         {core::CodecKind::kFullPixel, core::CodecKind::kBoundingRect,
+          core::CodecKind::kRleRect, core::CodecKind::kSpanRect}) {
+      const core::PayloadCodec& codec = core::codec_for(kind);
+      const auto engine = std::make_shared<core::EngineContext>(core::EngineConfig{workers});
+      img::PackBuffer buf;
+      codec.encode_rect(source, kRect, kRect, buf, counters);
+      targets.push_back({std::string(codec.name()) + " decode_rect" + width,
+                         {buf.bytes().begin(), buf.bytes().end()},
+                         [&codec, engine](const std::vector<std::byte>& bytes) {
+                           img::Image image(kBounds.x1, kBounds.y1);
+                           core::Counters c;
+                           img::UnpackBuffer in(bytes);
+                           core::DecodeSink sink{image, true, c, *engine};
+                           (void)codec.decode_rect(sink, kRect, in);
+                         }});
+    }
+    const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
+    const auto engine = std::make_shared<core::EngineContext>(core::EngineConfig{workers});
+    img::PackBuffer buf;
+    codec.encode_range(source, kRange, buf, counters);
+    targets.push_back({std::string(codec.name()) + " decode_range" + width,
+                       {buf.bytes().begin(), buf.bytes().end()},
+                       [&codec, engine](const std::vector<std::byte>& bytes) {
+                         img::Image image(kBounds.x1, kBounds.y1);
+                         core::Counters c;
+                         img::UnpackBuffer in(bytes);
+                         core::DecodeSink sink{image, true, c, *engine};
+                         codec.decode_range(sink, kRange, in);
                        }});
   }
   {

@@ -2,12 +2,12 @@
 //
 // The headline regression here is ConcurrentFramesShareNothing: two frames
 // compositing concurrently in ONE process, with *different* engine knobs
-// (worker fan-out, fused vs legacy decode). Under the old process-global
-// engine state (set_workers_per_rank / set_fused_decode / per-thread scratch
-// keyed by rank id) this raced — the second frame's knob writes bled into
-// the first frame's decode path mid-flight, and TSan flagged the scratch
-// aliasing. With EngineConfig/EngineContext threaded explicitly the frames
-// share nothing, and the suite runs TSan-clean.
+// (worker fan-out). Under the old process-global engine state (a global
+// workers-per-rank knob and per-thread scratch keyed by rank id) this raced
+// — the second frame's knob writes bled into the first frame's decode path
+// mid-flight, and TSan flagged the scratch aliasing. With
+// EngineConfig/EngineContext threaded explicitly the frames share nothing,
+// and the suite runs TSan-clean.
 //
 // The FrameService tests then cover what the refactor unblocks: bounded
 // admission (reject-new and shed-oldest), round-robin interleaving of N
@@ -45,10 +45,9 @@ using slspvr::testing::make_subimages;
 
 namespace {
 
-core::EngineConfig engine_config(int workers, bool fused) {
+core::EngineConfig engine_config(int workers) {
   core::EngineConfig config;
   config.workers_per_rank = workers;
-  config.fused_decode = fused;
   return config;
 }
 
@@ -103,8 +102,8 @@ TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
   const auto subimages_b = make_subimages(4, 64, 56, 0.5, 202);
 
   // Serial references, computed before any concurrency.
-  const core::EngineConfig config_a = engine_config(2, true);
-  const core::EngineConfig config_b = engine_config(1, false);
+  const core::EngineConfig config_a = engine_config(2);
+  const core::EngineConfig config_b = engine_config(1);
   const pvr::MethodResult ref_a =
       pvr::run_compositing(bsbrc, subimages_a, order, core::CostModel::sp2(), config_a);
   const pvr::MethodResult ref_b =
@@ -151,7 +150,7 @@ TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
   const auto big = make_subimages(2, 768, 768, 0.35, 7);
   const auto small = make_subimages(2, 384, 384, 0.35, 8);
 
-  core::EngineArena arena(engine_config(2, true), 2);
+  core::EngineArena arena(engine_config(2), 2);
   const pvr::MethodResult big_result =
       pvr::run_compositing(bsbrc, big, order, core::CostModel::sp2(), {}, &arena);
   const std::size_t bytes_after_big = arena.scratch_bytes();
@@ -162,7 +161,7 @@ TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
   EXPECT_LT(bytes_after_trim, bytes_after_big);
 
   const pvr::MethodResult fresh =
-      pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), engine_config(2, true));
+      pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), engine_config(2));
   const pvr::MethodResult reused =
       pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), {}, &arena);
   expect_bytes_identical(reused.final_image, fresh.final_image);
@@ -257,7 +256,6 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(3 * kFrames));
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.latencies_ms.size(), static_cast<std::size_t>(3 * kFrames));
 
   // The per-session pool stays trimmed to the session's own frame budget.
   for (const State& state : states) {
@@ -305,44 +303,82 @@ TEST(FrameService, RejectNewBouncesWhenTheQueueIsFull) {
   EXPECT_EQ(stats.shed, 0u);
 }
 
+// Shed-oldest under a burst of open-loop arrivals: three sessions (BSBRC,
+// BSLC, BS) over two executors, each flooded with back-to-back submissions
+// that overrun its depth-1 queue.
+// Every future resolves — done + shed = submitted for each session — and
+// every completed frame is byte-identical to its session's serial
+// reference. No wall-clock bound applies; the per-test TIMEOUT is the hang
+// gate.
 TEST(FrameService, ShedOldestResolvesVictimFuturesAndAdmitsTheNew) {
   const core::BsbrcCompositor bsbrc;
+  const core::BslcCompositor bslc;
+  const core::BinarySwapCompositor bs;
+  const core::Compositor* methods[] = {&bsbrc, &bslc, &bs};
+  const vol::DatasetKind datasets[] = {vol::DatasetKind::Cube, vol::DatasetKind::Head,
+                                       vol::DatasetKind::EngineLow};
+
   pvr::FrameServiceConfig service_config;
-  service_config.max_in_flight = 1;
+  service_config.max_in_flight = 2;
   service_config.queue_depth = 1;
   service_config.overload = pvr::OverloadPolicy::kShedOldest;
   pvr::FrameService service(service_config);
 
-  const pvr::SessionConfig config = small_session("only", vol::DatasetKind::Cube);
-  const int id = service.add_session(config, bsbrc);
-  const img::Image reference = serial_reference(config, bsbrc, 18.0f, 24.0f);
+  struct State {
+    int id;
+    pvr::FrameRequest request;
+    img::Image reference;
+    std::vector<std::future<pvr::FrameResult>> futures;
+  };
+  std::vector<State> states;
+  for (int s = 0; s < 3; ++s) {
+    const pvr::SessionConfig config = small_session("s" + std::to_string(s), datasets[s]);
+    State state;
+    state.id = service.add_session(config, *methods[s]);
+    state.request.rot_x_deg = 18.0f + 7.0f * static_cast<float>(s);
+    state.request.rot_y_deg = 24.0f + 5.0f * static_cast<float>(s);
+    state.reference = serial_reference(config, *methods[s], state.request.rot_x_deg,
+                                       state.request.rot_y_deg);
+    states.push_back(std::move(state));
+  }
 
-  pvr::FrameRequest request;
-  constexpr int kSubmissions = 8;
-  std::vector<std::future<pvr::FrameResult>> futures;
-  for (int i = 0; i < kSubmissions; ++i) {
-    auto future = service.submit(id, request);
-    ASSERT_TRUE(future.has_value()) << "shed-oldest never bounces the new request";
-    futures.push_back(std::move(*future));
+  // The burst: round f of every session goes in back to back, with no gap.
+  constexpr int kBurst = 8;
+  for (int f = 0; f < kBurst; ++f) {
+    for (State& state : states) {
+      auto future = service.submit(state.id, state.request);
+      ASSERT_TRUE(future.has_value()) << "shed-oldest never bounces the new request";
+      state.futures.push_back(std::move(*future));
+    }
   }
   service.drain();
 
-  int done = 0, shed = 0;
-  for (std::future<pvr::FrameResult>& future : futures) {
-    pvr::FrameResult frame = future.get();
-    if (frame.status == pvr::FrameStatus::kShed) {
-      ++shed;
-      EXPECT_EQ(frame.image.pixel_count(), 0);
-      continue;
+  int done_total = 0, shed_total = 0;
+  for (State& state : states) {
+    SCOPED_TRACE("session " + std::to_string(state.id));
+    int done = 0, shed = 0;
+    for (std::future<pvr::FrameResult>& future : state.futures) {
+      pvr::FrameResult frame = future.get();
+      EXPECT_EQ(frame.session, state.id);
+      if (frame.status == pvr::FrameStatus::kShed) {
+        ++shed;
+        EXPECT_EQ(frame.image.pixel_count(), 0);
+        continue;
+      }
+      ++done;
+      EXPECT_FALSE(frame.report.faulted);
+      expect_bytes_identical(frame.image, state.reference);
     }
-    ++done;
-    expect_bytes_identical(frame.image, reference);
+    EXPECT_EQ(done + shed, kBurst);
+    done_total += done;
+    shed_total += shed;
   }
-  EXPECT_EQ(done + shed, kSubmissions);
-  EXPECT_GE(shed, 1) << "a depth-1 queue under a burst of 8 must shed";
+  EXPECT_GE(shed_total, 1) << "depth-1 queues under a burst of " << kBurst
+                           << " per session must shed";
   const pvr::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(done));
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(3 * kBurst));
+  EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed_total));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(done_total));
   EXPECT_EQ(stats.rejected, 0u);
 }
 

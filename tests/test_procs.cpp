@@ -547,6 +547,40 @@ TEST(SequenceChaos, SameRankDiesTwiceAndComesBackTwice) {
   EXPECT_TRUE(run.frames[3].report.faulted);
 }
 
+// The aggregate report of a sequence names the epoch its repaired frames
+// resumed from only while they agree on one, and never prints the
+// "unknown" sentinel -1 as an epoch.
+TEST(SequenceChaos, AggregateSummaryNamesTheRepairEpochNeverMinusOne) {
+  const pvr::ExperimentConfig base = small_config(4);
+  const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
+  const slspvr::core::BsbrcCompositor bsbrc;
+  pvr::SequenceProcOptions opts = seq_opts(3);
+  opts.crashes = {
+      pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1}};
+
+  const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);
+  ASSERT_EQ(run.frames.size(), 3u);
+  const pvr::FaultReport& repaired = run.frames[1].report;
+  ASSERT_TRUE(repaired.resumed) << repaired.summary();
+  ASSERT_GE(repaired.resume_epoch, 0);
+  EXPECT_TRUE(run.report.resumed);
+  EXPECT_EQ(run.report.resume_epoch, repaired.resume_epoch);
+  const std::string summary = run.report.summary();
+  EXPECT_EQ(summary.find("epoch -1"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("finished via mid-frame repair from epoch " +
+                         std::to_string(repaired.resume_epoch)),
+            std::string::npos)
+      << summary;
+
+  // Repaired frames that disagree leave the aggregate's epoch unknown (-1):
+  // the summary then names no epoch at all.
+  pvr::FaultReport disagreeing = run.report;
+  disagreeing.resume_epoch = -1;
+  const std::string unnamed = disagreeing.summary();
+  EXPECT_NE(unnamed.find("finished via mid-frame repair"), std::string::npos) << unnamed;
+  EXPECT_EQ(unnamed.find("epoch"), std::string::npos) << unnamed;
+}
+
 TEST(SequenceChaos, RespawnBudgetExhaustionDemotesForGood) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);

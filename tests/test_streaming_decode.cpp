@@ -1,19 +1,21 @@
-// Streaming decode→composite identity: decode_rect_into / decode_range_into
-// blend straight out of the receive buffer and promise *byte*-identical
-// frames and identical counters to the legacy unpack-then-blend decoders —
-// for every codec, every part width (including empty and the 0..33 sweep
-// that crosses every vector-kernel remainder case), any worker fan-out, and
-// RLE runs that straddle both kMaxRun escape chains and band boundaries.
-// Engine knobs (workers-per-rank, fused decode) are explicit EngineContext
-// state here — there are no process globals to twiddle or restore.
-// The suite closes with whole-frame identity of the tile-parallel engine:
-// every paper method at P ∈ {2,4,8} must gather the same bytes for
-// workers-per-rank ∈ {1,2,3}, fused or legacy decode.
+// Streaming decode→composite identity: the codecs' decode_rect /
+// decode_range blend straight out of the receive buffer and promise
+// *byte*-identical frames and identical counters to core/wire's per-message
+// reference decoders, which unpack the message first and then blend it (the
+// "Legacy" of the case names) — for every codec, every part width
+// (including empty and the 0..33 sweep that crosses every vector-kernel
+// remainder case), both front orders, any worker fan-out, and RLE runs that
+// straddle both kMaxRun escape chains and band boundaries. The worker
+// fan-out is explicit EngineContext state here — there are no process
+// globals to twiddle or restore. The suite closes with whole-frame identity
+// of the tile-parallel engine: every paper method at P ∈ {2,4,8} must
+// gather the same bytes for workers-per-rank ∈ {1,2,3}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,27 +28,56 @@
 #include "core/codec.hpp"
 #include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/wire.hpp"
 #include "core/worker_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
 namespace img = slspvr::img;
 namespace pvr = slspvr::pvr;
+namespace wire = slspvr::core::wire;
 using slspvr::testing::make_default_order;
 using slspvr::testing::make_subimages;
 using slspvr::testing::run_method;
 
 namespace {
 
-core::EngineConfig engine_config(int workers, bool fused) {
+core::EngineConfig engine_config(int workers) {
   core::EngineConfig config;
   config.workers_per_rank = workers;
-  config.fused_decode = fused;
   return config;
 }
 
-/// Byte-exact frame comparison (the fused paths promise identity, not
-/// tolerance), with a first-differing-pixel report on failure.
+/// The reference decode of one `kind` message covering `part`: core/wire's
+/// unpack-then-blend decoder for that codec's wire format.
+img::Rect reference_decode_rect(core::CodecKind kind, img::Image& image, const img::Rect& part,
+                                img::UnpackBuffer& in, bool in_front,
+                                core::Counters& counters) {
+  switch (kind) {
+    case core::CodecKind::kFullPixel:
+      wire::unpack_composite_rect(image, part, in, in_front, counters);
+      return part;
+    case core::CodecKind::kBoundingRect:
+      return wire::unpack_composite_raw_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kRleRect:
+      return wire::unpack_composite_rle_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kSpanRect:
+      return wire::unpack_composite_span_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kInterleavedRle:
+      break;
+  }
+  throw std::logic_error("reference_decode_rect: not a rect codec");
+}
+
+/// The reference decode of one interleaved-RLE message covering `part`.
+void reference_decode_range(img::Image& image, const img::InterleavedRange& part,
+                            img::UnpackBuffer& in, bool in_front, core::Counters& counters) {
+  const img::Rle incoming = wire::parse_rle(in, part.count);
+  wire::composite_rle_strided(image, part, incoming, in_front, counters);
+}
+
+/// Byte-exact frame comparison (the streaming decoders promise identity,
+/// not tolerance), with a first-differing-pixel report on failure.
 void expect_bytes_identical(const img::Image& got, const img::Image& want) {
   ASSERT_EQ(got.width(), want.width());
   ASSERT_EQ(got.height(), want.height());
@@ -66,9 +97,9 @@ void expect_bytes_identical(const img::Image& got, const img::Image& want) {
 }
 
 /// Encode `part` of a random source, then decode it twice into copies of the
-/// same random destination — legacy decode_rect vs streaming
-/// decode_rect_into through `engine` — and require identical bytes, covered
-/// rect, and counters.
+/// same random destination — the wire reference vs the codec's streaming
+/// decode_rect through `engine` — and require identical bytes, covered rect,
+/// and counters.
 void check_rect_codec_identity(core::CodecKind kind, int width, core::EngineContext& engine,
                                bool in_front) {
   constexpr int kHeight = 7;
@@ -82,21 +113,21 @@ void check_rect_codec_identity(core::CodecKind kind, int width, core::EngineCont
   core::Counters encode_counters;
   codec.encode_rect(source, part, part, buf, encode_counters);
 
-  img::Image legacy = base;
-  core::Counters legacy_counters;
-  img::UnpackBuffer legacy_in(buf.bytes());
-  const img::Rect legacy_rect =
-      codec.decode_rect(legacy, part, legacy_in, in_front, legacy_counters);
+  img::Image reference = base;
+  core::Counters reference_counters;
+  img::UnpackBuffer reference_in(buf.bytes());
+  const img::Rect reference_rect = reference_decode_rect(kind, reference, part, reference_in,
+                                                         in_front, reference_counters);
 
-  img::Image fused = base;
-  core::Counters fused_counters;
-  img::UnpackBuffer fused_in(buf.bytes());
-  core::DecodeSink sink{fused, in_front, fused_counters, engine};
-  const img::Rect fused_rect = codec.decode_rect_into(sink, part, fused_in);
+  img::Image streamed = base;
+  core::Counters streamed_counters;
+  img::UnpackBuffer streamed_in(buf.bytes());
+  core::DecodeSink sink{streamed, in_front, streamed_counters, engine};
+  const img::Rect streamed_rect = codec.decode_rect(sink, part, streamed_in);
 
-  EXPECT_EQ(fused_rect, legacy_rect);
-  expect_bytes_identical(fused, legacy);
-  EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+  EXPECT_EQ(streamed_rect, reference_rect);
+  expect_bytes_identical(streamed, reference);
+  EXPECT_EQ(streamed_counters.totals(), reference_counters.totals());
 }
 
 /// The scalar-codec twin: an interleaved progression of `count` elements at
@@ -114,19 +145,19 @@ void check_scalar_codec_identity(std::int64_t count, std::int64_t stride,
   core::Counters encode_counters;
   codec.encode_range(source, part, buf, encode_counters);
 
-  img::Image legacy = base;
-  core::Counters legacy_counters;
-  img::UnpackBuffer legacy_in(buf.bytes());
-  codec.decode_range(legacy, part, legacy_in, in_front, legacy_counters);
+  img::Image reference = base;
+  core::Counters reference_counters;
+  img::UnpackBuffer reference_in(buf.bytes());
+  reference_decode_range(reference, part, reference_in, in_front, reference_counters);
 
-  img::Image fused = base;
-  core::Counters fused_counters;
-  img::UnpackBuffer fused_in(buf.bytes());
-  core::DecodeSink sink{fused, in_front, fused_counters, engine};
-  codec.decode_range_into(sink, part, fused_in);
+  img::Image streamed = base;
+  core::Counters streamed_counters;
+  img::UnpackBuffer streamed_in(buf.bytes());
+  core::DecodeSink sink{streamed, in_front, streamed_counters, engine};
+  codec.decode_range(sink, part, streamed_in);
 
-  expect_bytes_identical(fused, legacy);
-  EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+  expect_bytes_identical(streamed, reference);
+  EXPECT_EQ(streamed_counters.totals(), reference_counters.totals());
 }
 
 /// An image whose row-major RLE has one blank and one non-blank run, both
@@ -149,8 +180,8 @@ img::Image long_run_image(int width, int height, int blank_rows, int solid_rows)
 }  // namespace
 
 TEST(StreamingDecode, RectCodecsMatchLegacyAtEveryWidth) {
-  core::EngineContext single(engine_config(1, true));
-  core::EngineContext banded(engine_config(3, true));
+  core::EngineContext single(engine_config(1));
+  core::EngineContext banded(engine_config(3));
   for (const core::CodecKind kind :
        {core::CodecKind::kFullPixel, core::CodecKind::kBoundingRect,
         core::CodecKind::kRleRect, core::CodecKind::kSpanRect}) {
@@ -166,8 +197,8 @@ TEST(StreamingDecode, RectCodecsMatchLegacyAtEveryWidth) {
 }
 
 TEST(StreamingDecode, ScalarCodecMatchesLegacyAtEveryLength) {
-  core::EngineContext single(engine_config(1, true));
-  core::EngineContext banded(engine_config(3, true));
+  core::EngineContext single(engine_config(1));
+  core::EngineContext banded(engine_config(3));
   for (const std::int64_t stride : {1, 2, 5}) {
     for (std::int64_t count = 0; count <= 33; ++count) {
       for (const bool in_front : {false, true}) {
@@ -186,7 +217,7 @@ TEST(StreamingDecode, ScalarCodecMatchesLegacyAtEveryLength) {
 // 65535) and the non-blank chain (80000 pixels, escape at element 133535) —
 // rle_skip must resume mid-chain without desynchronizing code/pixel cursors.
 TEST(StreamingDecode, RunsStraddleKMaxRunAndBandBoundaries) {
-  core::EngineContext engine(engine_config(3, true));
+  core::EngineContext engine(engine_config(3));
   const img::Image source = long_run_image(400, 400, /*blank_rows=*/170, /*solid_rows=*/200);
   const img::Image base = pvr::random_subimage(400, 400, 0.5, 4242);
   const img::Rect part{0, 0, 400, 400};
@@ -199,19 +230,20 @@ TEST(StreamingDecode, RunsStraddleKMaxRunAndBandBoundaries) {
       core::Counters encode_counters;
       codec.encode_rect(source, part, part, buf, encode_counters);
 
-      img::Image legacy = base;
-      core::Counters legacy_counters;
-      img::UnpackBuffer legacy_in(buf.bytes());
-      codec.decode_rect(legacy, part, legacy_in, in_front, legacy_counters);
+      img::Image reference = base;
+      core::Counters reference_counters;
+      img::UnpackBuffer reference_in(buf.bytes());
+      (void)reference_decode_rect(core::CodecKind::kRleRect, reference, part, reference_in,
+                                  in_front, reference_counters);
 
-      img::Image fused = base;
-      core::Counters fused_counters;
-      img::UnpackBuffer fused_in(buf.bytes());
-      core::DecodeSink sink{fused, in_front, fused_counters, engine};
-      codec.decode_rect_into(sink, part, fused_in);
+      img::Image streamed = base;
+      core::Counters streamed_counters;
+      img::UnpackBuffer streamed_in(buf.bytes());
+      core::DecodeSink sink{streamed, in_front, streamed_counters, engine};
+      (void)codec.decode_rect(sink, part, streamed_in);
 
-      expect_bytes_identical(fused, legacy);
-      EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+      expect_bytes_identical(streamed, reference);
+      EXPECT_EQ(streamed_counters.totals(), reference_counters.totals());
     }
     {
       const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
@@ -220,42 +252,29 @@ TEST(StreamingDecode, RunsStraddleKMaxRunAndBandBoundaries) {
       core::Counters encode_counters;
       codec.encode_range(source, whole, buf, encode_counters);
 
-      img::Image legacy = base;
-      core::Counters legacy_counters;
-      img::UnpackBuffer legacy_in(buf.bytes());
-      codec.decode_range(legacy, whole, legacy_in, in_front, legacy_counters);
+      img::Image reference = base;
+      core::Counters reference_counters;
+      img::UnpackBuffer reference_in(buf.bytes());
+      reference_decode_range(reference, whole, reference_in, in_front, reference_counters);
 
-      img::Image fused = base;
-      core::Counters fused_counters;
-      img::UnpackBuffer fused_in(buf.bytes());
-      core::DecodeSink sink{fused, in_front, fused_counters, engine};
-      codec.decode_range_into(sink, whole, fused_in);
+      img::Image streamed = base;
+      core::Counters streamed_counters;
+      img::UnpackBuffer streamed_in(buf.bytes());
+      core::DecodeSink sink{streamed, in_front, streamed_counters, engine};
+      codec.decode_range(sink, whole, streamed_in);
 
-      expect_bytes_identical(fused, legacy);
-      EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+      expect_bytes_identical(streamed, reference);
+      EXPECT_EQ(streamed_counters.totals(), reference_counters.totals());
     }
   }
 }
 
-// An EngineConfig with fused_decode = false must route every decode_*_into
-// call through the legacy decoders verbatim (that is what slspvr-perf
-// benchmarks against).
-TEST(StreamingDecode, FusedOffFallsBackToLegacyByteIdentically) {
-  core::EngineContext engine(engine_config(2, false));
-  for (const core::CodecKind kind :
-       {core::CodecKind::kFullPixel, core::CodecKind::kBoundingRect,
-        core::CodecKind::kRleRect, core::CodecKind::kSpanRect}) {
-    SCOPED_TRACE(core::codec_name(kind));
-    check_rect_codec_identity(kind, 21, engine, true);
-  }
-  check_scalar_codec_identity(29, 3, engine, true);
-}
-
 // Whole-frame identity: for every paper method, the gathered frame and the
 // per-rank op totals must be byte-for-byte independent of the intra-rank
-// worker fan-out and of fused vs legacy decode. The reference is the
-// historical engine (1 worker, unfused); everything else must match it.
-TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkersAndFusedDecode) {
+// worker fan-out. The reference is the historical one-thread-per-rank
+// engine (1 worker); every fan-out, a second 1-worker run included, must
+// match it.
+TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkers) {
   struct MethodCase {
     std::string name;
     std::unique_ptr<core::Compositor> method;
@@ -271,11 +290,6 @@ TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkersAndFusedDecode) {
   methods.push_back({"DirectSend-sparse", std::make_unique<core::DirectSendCompositor>(true)});
   methods.push_back({"Pipeline", std::make_unique<core::ParallelPipelineCompositor>()});
 
-  struct Config {
-    int workers;
-    bool fused;
-  };
-  const std::vector<Config> configs = {{1, true}, {2, true}, {3, true}, {3, false}};
 
   for (const MethodCase& mc : methods) {
     for (const int ranks : {2, 4, 8}) {
@@ -285,13 +299,12 @@ TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkersAndFusedDecode) {
                                             static_cast<std::uint32_t>(7 * ranks + 1));
       const core::SwapOrder order = make_default_order(levels);
 
-      const auto reference = run_method(*mc.method, subimages, order, engine_config(1, false));
+      const auto reference = run_method(*mc.method, subimages, order, engine_config(1));
 
-      for (const Config& cfg : configs) {
+      for (const int workers : {1, 2, 3}) {
         SCOPED_TRACE(mc.name + " P" + std::to_string(ranks) + " workers " +
-                     std::to_string(cfg.workers) + (cfg.fused ? " fused" : " legacy"));
-        const auto got =
-            run_method(*mc.method, subimages, order, engine_config(cfg.workers, cfg.fused));
+                     std::to_string(workers));
+        const auto got = run_method(*mc.method, subimages, order, engine_config(workers));
         expect_bytes_identical(got.final_image, reference.final_image);
         ASSERT_EQ(got.per_rank.size(), reference.per_rank.size());
         for (std::size_t r = 0; r < got.per_rank.size(); ++r) {

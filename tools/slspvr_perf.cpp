@@ -1,4 +1,4 @@
-// slspvr-perf: the perf-trajectory harness behind BENCH_*.json.
+// slspvr-perf: the kernel and method harness behind BENCH_8.json.
 //
 // Two sections, both run at the paper's 384^2 / 768^2 image sizes:
 //
@@ -15,167 +15,98 @@
 //    must be byte-identical; any divergence makes the tool exit non-zero,
 //    which is what the CI perf-smoke step asserts.
 //
-//  * workers — BSBRC and BSLC end-to-end at 1/2/4 intra-rank workers
-//    (EngineConfig::workers_per_rank) at the smallest rank count, recording
-//    the tile-parallel engine's scaling (on a machine with fewer cores than
-//    ranks × workers this measures oversubscription overhead instead);
-//    every frame must be byte-identical to the 1-worker frame;
-//
-//  * fused — the streaming decode→composite path vs the historical
-//    unpack-then-blend (EngineConfig::fused_decode), timed where fusion
-//    lives: decoding one captured BSBRC/BSLC wire message on a single
-//    thread, with interleaved reps. Full fused and unfused runs must still
-//    produce byte-identical frames (part of the exit-code gate).
-//
-// A separate mode, --traffic, exercises the FrameService under open-loop
-// synthetic arrivals: N concurrent sessions (distinct methods/cameras) are
-// flooded with frame requests, the scheduler interleaves them over the
-// shared rank pool with bounded admission (shed-oldest), and the tool
-// records frames/sec, p50/p99 client latency and the shed count. Every
-// completed frame must be byte-identical to that session's serial
-// reference frame; any divergence (or a p99 above --p99-bound-ms, when
-// given) makes the tool exit non-zero. Traffic output defaults to
-// BENCH_10.json.
+// Performance claims are made with the repository benchmark (perfbench/),
+// not with this tool.
 //
 // Output: machine-readable JSON (default BENCH_8.json). --smoke shrinks the
-// sweep for CI; the full run is the one to archive in the perf trajectory.
+// sweep for CI. Every flag value parses strictly (tools/render_cli.hpp): a
+// malformed one is a one-line error and exit 2.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <future>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbrc.hpp"
-#include "core/codec.hpp"
-#include "core/bslc.hpp"
-#include "core/engine.hpp"
+#include "core/order.hpp"
 #include "core/wire.hpp"
-#include "core/worker_pool.hpp"
 #include "image/image.hpp"
 #include "image/kernels.hpp"
 #include "pvr/experiment.hpp"
-#include "pvr/frame_service.hpp"
 #include "pvr/synthetic.hpp"
+#include "render_cli.hpp"
 
 namespace img = slspvr::img;
 namespace kern = slspvr::img::kern;
 namespace core = slspvr::core;
 namespace pvr = slspvr::pvr;
-namespace vol = slspvr::vol;
+namespace tools = slspvr::tools;
 
 namespace {
 
 struct PerfOptions {
   bool smoke = false;
   std::string out = "BENCH_8.json";
-  bool out_given = false;
   std::vector<int> sizes = {384, 768};
   std::vector<int> ranks = {2, 4, 8};
-  std::vector<int> workers = {1, 2, 4};
   double density = 0.3;
   int reps = 7;
-  // --traffic mode (FrameService under open-loop arrivals).
-  bool traffic = false;
-  int sessions = 4;
-  int frames = 12;            ///< frames submitted per session
-  double period_ms = 0.0;     ///< inter-arrival gap per session (0 = burst)
-  double p99_bound_ms = 0.0;  ///< exit non-zero if p99 exceeds this (0 = off)
 };
 
 [[noreturn]] void usage(int code) {
   std::cout << "slspvr-perf [--smoke] [--out <path>] [--sizes <csv>] [--ranks <csv>]\n"
-               "            [--workers <csv>] [--density <f>] [--reps <n>]\n"
-               "Runs the kernel, end-to-end method, worker fan-out and fused-decode\n"
-               "benchmarks and writes machine-readable JSON. Exits non-zero if the\n"
-               "scalar/vector kernel paths, any worker count, or the fused and\n"
-               "legacy decode paths ever produce different frames.\n"
-               "\n"
-               "slspvr-perf --traffic [--smoke] [--sessions <n>] [--frames <n>]\n"
-               "            [--period-ms <f>] [--p99-bound-ms <f>] [--out <path>]\n"
-               "Floods a FrameService with open-loop frame arrivals from n concurrent\n"
-               "sessions and writes frames/sec, p50/p99 latency and shed count\n"
-               "(default BENCH_10.json). Exits non-zero if any completed frame\n"
-               "differs from its session's serial reference, or p99 exceeds the\n"
-               "bound when one is given.\n";
+               "            [--density <f>] [--reps <n>]\n"
+               "Runs the kernel and end-to-end method benchmarks and writes\n"
+               "machine-readable JSON. Exits non-zero if the scalar and vector\n"
+               "kernel paths ever produce different frames.\n";
   std::exit(code);
 }
 
-std::vector<int> parse_int_csv(const std::string& csv) {
+/// A comma list of positive integers, each field strict.
+std::vector<int> parse_positive_list(const std::string& token, const std::string& what) {
   std::vector<int> values;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? csv.size() - pos : comma - pos);
-    std::size_t used = 0;
-    int v = 0;
-    try {
-      v = std::stoi(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != tok.size() || v <= 0) {
-      std::cerr << "slspvr-perf: bad list element '" << tok << "' in '" << csv << "'\n";
-      std::exit(2);
-    }
-    values.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (values.empty()) {
-    std::cerr << "slspvr-perf: empty list\n";
-    std::exit(2);
+  for (const std::string& field : tools::split_commas(token)) {
+    values.push_back(tools::parse_positive_int(field, what));
   }
   return values;
 }
 
+/// Throws tools::ParseError on a malformed or out-of-range value.
 PerfOptions parse_args(int argc, char** argv) {
   PerfOptions opt;
-  bool period_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "slspvr-perf: missing value for " << arg << "\n";
-        std::exit(2);
-      }
+      if (i + 1 >= argc) throw tools::ParseError("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg == "--out") {
       opt.out = next();
-      opt.out_given = true;
-    } else if (arg == "--traffic") {
-      opt.traffic = true;
-    } else if (arg == "--sessions") {
-      opt.sessions = std::max(1, std::atoi(next().c_str()));
-    } else if (arg == "--frames") {
-      opt.frames = std::max(1, std::atoi(next().c_str()));
-    } else if (arg == "--period-ms") {
-      opt.period_ms = std::max(0.0, std::atof(next().c_str()));
-      period_given = true;
-    } else if (arg == "--p99-bound-ms") {
-      opt.p99_bound_ms = std::max(0.0, std::atof(next().c_str()));
     } else if (arg == "--sizes") {
-      opt.sizes = parse_int_csv(next());
+      opt.sizes = parse_positive_list(next(), "--sizes");
     } else if (arg == "--ranks") {
-      opt.ranks = parse_int_csv(next());
-    } else if (arg == "--workers") {
-      opt.workers = parse_int_csv(next());
+      const std::string token = next();
+      opt.ranks = parse_positive_list(token, "--ranks");
+      for (const int r : opt.ranks) {
+        if (!std::has_single_bit(static_cast<unsigned>(r))) {
+          throw tools::ParseError("--ranks: '" + token + "' has " + std::to_string(r) +
+                                  ", not a power of two");
+        }
+      }
     } else if (arg == "--density") {
-      opt.density = std::atof(next().c_str());
+      const std::string token = next();
+      opt.density = tools::parse_finite_float(token, "--density");
+      if (!(opt.density > 0.0 && opt.density <= 1.0)) {
+        throw tools::ParseError("--density: '" + token + "' is not in (0, 1]");
+      }
     } else if (arg == "--reps") {
-      opt.reps = std::max(1, std::atoi(next().c_str()));
+      opt.reps = tools::parse_positive_int(next(), "--reps");
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -186,15 +117,8 @@ PerfOptions parse_args(int argc, char** argv) {
   if (opt.smoke) {
     opt.sizes = {384};
     opt.ranks = {2, 4};
-    opt.workers = {1, 2};
     opt.reps = 3;
-    opt.frames = 6;  // sessions stay >= 3: the gate needs real concurrency
   }
-  if (opt.traffic && !opt.out_given) opt.out = "BENCH_10.json";
-  // Full traffic runs default to a paced open loop near service capacity so
-  // the trajectory tracks latency under load, not shed-dominated collapse;
-  // the smoke keeps the burst (period 0) so the overload path is exercised.
-  if (opt.traffic && !opt.smoke && !period_given) opt.period_ms = 30.0;
   return opt;
 }
 
@@ -303,13 +227,7 @@ std::vector<MethodRow> run_method_benches(const PerfOptions& opt, bool& diverged
   const auto methods = pvr::MethodSet::paper_methods();
   for (const int size : opt.sizes) {
     for (const int ranks : opt.ranks) {
-      const unsigned uranks = static_cast<unsigned>(ranks);
-      if ((uranks & (uranks - 1)) != 0) {
-        std::cerr << "slspvr-perf: --ranks entries must be powers of two (got " << ranks
-                  << ")\n";
-        std::exit(2);
-      }
-      const int levels = std::countr_zero(uranks);
+      const int levels = std::countr_zero(static_cast<unsigned>(ranks));
       const auto subimages = pvr::make_subimages(ranks, size, size, opt.density);
       const auto order = core::make_uniform_order(levels);
       for (const auto& method : methods) {
@@ -352,384 +270,8 @@ std::vector<MethodRow> run_method_benches(const PerfOptions& opt, bool& diverged
   return rows;
 }
 
-/// The two sparse binary-swap methods the tile-parallel engine targets.
-std::vector<std::unique_ptr<core::Compositor>> sparse_methods() {
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  return methods;
-}
-
-struct WorkerRow {
-  std::string method;
-  int ranks = 0;
-  int size = 0;
-  int workers = 0;
-  double wall_ms = 0.0;
-  bool identical = false;  ///< frame byte-equal to the 1-worker frame
-};
-
-std::vector<WorkerRow> run_worker_benches(const PerfOptions& opt, bool& diverged) {
-  std::vector<WorkerRow> rows;
-  const auto methods = sparse_methods();
-  // Smallest rank count: the worker fan-out competes with the rank threads
-  // for cores, so P is kept minimal to give the intra-rank pool headroom
-  // (at P = ranks.back() on a small machine the sweep would only measure
-  // oversubscription overhead).
-  const int ranks = opt.ranks.front();
-  const int levels = std::countr_zero(static_cast<unsigned>(ranks));
-  for (const int size : opt.sizes) {
-    const auto subimages = pvr::make_subimages(ranks, size, size, opt.density);
-    const auto order = core::make_uniform_order(levels);
-    for (const auto& method : methods) {
-      const pvr::MethodResult ref = pvr::run_compositing(*method, subimages, order);
-      for (const int workers : opt.workers) {
-        core::EngineConfig engine;
-        engine.workers_per_rank = workers;
-        WorkerRow row;
-        row.method = std::string(method->name());
-        row.ranks = ranks;
-        row.size = size;
-        row.workers = workers;
-        pvr::MethodResult res =
-            pvr::run_compositing(*method, subimages, order, core::CostModel::sp2(), engine);
-        row.wall_ms = time_best_ms(opt.reps, [&] {
-          res = pvr::run_compositing(*method, subimages, order, core::CostModel::sp2(), engine);
-        });
-        row.identical = res.final_image == ref.final_image;
-        if (!row.identical) {
-          diverged = true;
-          std::cerr << "DIVERGENCE: " << row.method << " P=" << ranks << " @" << size
-                    << "^2 workers=" << workers
-                    << " — frame differs from the 1-worker frame\n";
-        }
-        std::cout << "  " << row.method << " P=" << ranks << " @" << size
-                  << "^2 workers=" << workers << ": wall " << row.wall_ms << " ms"
-                  << (row.identical ? "" : "  [MISMATCH]") << "\n";
-        rows.push_back(row);
-      }
-    }
-  }
-  return rows;
-}
-
-struct FusedRow {
-  std::string method;
-  int ranks = 0;
-  int size = 0;
-  double fused_ms = 0.0;
-  double unfused_ms = 0.0;
-  bool identical = false;
-};
-
-/// Fused vs unpack+blend, measured where fusion lives: decoding one captured
-/// wire message into a frame on a single thread. A whole-frame wall hides
-/// the decode delta under the encode/transport/thread-scheduling noise of a
-/// full SPMD run, so the timing here isolates the codec decode step; the
-/// frames a fused and an unfused *full run* produce are still compared
-/// byte-for-byte and gate the exit code. Reps interleave (fused, unfused,
-/// fused, ...) so drift and background load hit both sides alike.
-std::vector<FusedRow> run_fused_benches(const PerfOptions& opt, bool& diverged) {
-  std::vector<FusedRow> rows;
-  core::EngineConfig fused_config;  // the defaults: 1 worker, fused decode
-  core::EngineConfig legacy_config;
-  legacy_config.fused_decode = false;
-  const auto methods = sparse_methods();
-  const int ranks = opt.ranks.back();
-  const int levels = std::countr_zero(static_cast<unsigned>(ranks));
-
-  for (const int size : opt.sizes) {
-    // Whole-frame identity gate: one fused/unfused run pair per method.
-    bool frames_identical = true;
-    {
-      const auto subimages = pvr::make_subimages(ranks, size, size, opt.density);
-      const auto order = core::make_uniform_order(levels);
-      for (const auto& method : methods) {
-        const pvr::MethodResult fused = pvr::run_compositing(
-            *method, subimages, order, core::CostModel::sp2(), fused_config);
-        const pvr::MethodResult unfused = pvr::run_compositing(
-            *method, subimages, order, core::CostModel::sp2(), legacy_config);
-        if (!(fused.final_image == unfused.final_image)) {
-          frames_identical = false;
-          diverged = true;
-          std::cerr << "DIVERGENCE: " << method->name() << " P=" << ranks << " @" << size
-                    << "^2 — fused and unpack+blend frames differ\n";
-        }
-      }
-    }
-
-    const img::Image source = pvr::random_subimage(size, size, opt.density, 211);
-    const img::Image base = pvr::random_subimage(size, size, 0.6, 212);
-
-    // One decode target per codec, shaped like a stage-1 message: BSBRC
-    // ships the frame's RLE'd bounding rectangle, BSLC the RLE of a
-    // stride-2 interleaved keep part. The caller's EngineContext decides
-    // fused vs legacy routing.
-    struct Target {
-      std::string method;
-      std::function<void(img::Image&, core::Counters&, core::EngineContext&)> decode;
-    };
-    std::vector<Target> targets;
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kRleRect);
-      const img::Rect rect = source.bounds();
-      auto buf = std::make_shared<img::PackBuffer>();
-      core::Counters ec;
-      codec.encode_rect(source, rect, rect, *buf, ec);
-      targets.push_back({"BSBRC", [&codec, buf, rect](img::Image& dest, core::Counters& c,
-                                                      core::EngineContext& engine) {
-                           img::UnpackBuffer in(buf->bytes());
-                           core::DecodeSink sink{dest, false, c, engine};
-                           (void)codec.decode_rect_into(sink, rect, in);
-                         }});
-    }
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
-      const img::InterleavedRange part{0, 2, source.pixel_count() / 2};
-      auto buf = std::make_shared<img::PackBuffer>();
-      core::Counters ec;
-      codec.encode_range(source, part, *buf, ec);
-      targets.push_back({"BSLC", [&codec, buf, part](img::Image& dest, core::Counters& c,
-                                                     core::EngineContext& engine) {
-                           img::UnpackBuffer in(buf->bytes());
-                           core::DecodeSink sink{dest, false, c, engine};
-                           codec.decode_range_into(sink, part, in);
-                         }});
-    }
-
-    core::EngineContext fused_engine(fused_config);
-    core::EngineContext legacy_engine(legacy_config);
-
-    for (const Target& target : targets) {
-      FusedRow row;
-      row.method = target.method;
-      row.ranks = ranks;
-      row.size = size;
-
-      // Decode-level identity: same message, fresh destination, both paths.
-      img::Image fused_dest = base;
-      img::Image unfused_dest = base;
-      core::Counters fused_c, unfused_c;
-      target.decode(fused_dest, fused_c, fused_engine);
-      target.decode(unfused_dest, unfused_c, legacy_engine);
-      row.identical = frames_identical && fused_dest == unfused_dest &&
-                      fused_c.totals() == unfused_c.totals();
-      if (!(fused_dest == unfused_dest)) {
-        diverged = true;
-        std::cerr << "DIVERGENCE: " << row.method << " @" << size
-                  << "^2 — fused and unpack+blend decodes differ\n";
-      }
-
-      // Timed reps blend into a persistent destination (repeated over-blends
-      // saturate its values but never change the arithmetic per pixel).
-      img::Image dest = base;
-      core::Counters c;
-      row.fused_ms = 1e300;
-      row.unfused_ms = 1e300;
-      for (int rep = 0; rep < opt.reps; ++rep) {
-        row.fused_ms = std::min(row.fused_ms,
-                                time_best_ms(1, [&] { target.decode(dest, c, fused_engine); }));
-        row.unfused_ms = std::min(
-            row.unfused_ms, time_best_ms(1, [&] { target.decode(dest, c, legacy_engine); }));
-      }
-
-      std::cout << "  " << row.method << " decode @" << size << "^2: fused " << row.fused_ms
-                << " ms, unpack+blend " << row.unfused_ms << " ms ("
-                << (row.fused_ms > 0 ? row.unfused_ms / row.fused_ms : 0.0) << "x)"
-                << (row.identical ? "" : "  [MISMATCH]") << "\n";
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
-struct TrafficSessionRow {
-  std::string name;
-  std::string method;
-  int image_size = 0;
-  int ranks = 0;
-  int completed = 0;
-  int shed = 0;
-  bool identical = true;  ///< every completed frame == the serial reference
-};
-
-struct TrafficResult {
-  int sessions = 0;
-  int frames_per_session = 0;
-  double period_ms = 0.0;
-  double elapsed_ms = 0.0;
-  double frames_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rejected = 0;
-  std::vector<TrafficSessionRow> rows;
-};
-
-/// Open-loop traffic over the FrameService: each session's arrivals fire on
-/// a fixed schedule regardless of completion (period 0 = burst). Completed
-/// frames are compared byte-for-byte against that session's serial
-/// reference; the scheduler's shed-oldest policy absorbs the overload.
-TrafficResult run_traffic_bench(const PerfOptions& opt, bool& diverged) {
-  const std::vector<vol::DatasetKind> datasets = {
-      vol::DatasetKind::Cube, vol::DatasetKind::Head, vol::DatasetKind::EngineLow,
-      vol::DatasetKind::EngineHigh};
-
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  methods.push_back(std::make_unique<core::BinarySwapCompositor>());
-
-  pvr::FrameServiceConfig service_config;
-  service_config.max_in_flight = opt.smoke ? 2 : 3;
-  service_config.queue_depth = 4;
-  service_config.overload = pvr::OverloadPolicy::kShedOldest;
-  pvr::FrameService service(service_config);
-
-  TrafficResult out;
-  out.sessions = opt.sessions;
-  out.frames_per_session = opt.frames;
-  out.period_ms = opt.period_ms;
-
-  struct SessionState {
-    int id = -1;
-    pvr::FrameRequest request;
-    img::Image reference;
-    TrafficSessionRow row;
-  };
-  std::vector<SessionState> states;
-  for (int s = 0; s < opt.sessions; ++s) {
-    const core::Compositor& method = *methods[static_cast<std::size_t>(s) % methods.size()];
-    pvr::SessionConfig config;
-    config.name = "session-" + std::to_string(s);
-    config.dataset = datasets[static_cast<std::size_t>(s) % datasets.size()];
-    config.volume_scale = 0.2;
-    config.image_size = opt.smoke ? 96 : 192;
-    config.ranks = 4;
-
-    SessionState state;
-    state.id = service.add_session(config, method);
-    state.request.rot_x_deg = 18.0f + 7.0f * static_cast<float>(s);
-    state.request.rot_y_deg = 24.0f + 5.0f * static_cast<float>(s);
-    state.row.name = config.name;
-    state.row.method = std::string(method.name());
-    state.row.image_size = config.image_size;
-    state.row.ranks = config.ranks;
-
-    // Serial reference: the same frame, composited alone.
-    pvr::ExperimentConfig ec;
-    ec.dataset = config.dataset;
-    ec.volume_scale = config.volume_scale;
-    ec.image_size = config.image_size;
-    ec.ranks = config.ranks;
-    ec.rot_x_deg = state.request.rot_x_deg;
-    ec.rot_y_deg = state.request.rot_y_deg;
-    const pvr::Experiment experiment(ec);
-    state.reference = experiment.run(method).final_image;
-
-    states.push_back(std::move(state));
-  }
-
-  // Open-loop arrivals: round f of every session fires at start + f*period.
-  std::vector<std::vector<std::future<pvr::FrameResult>>> futures(states.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (int f = 0; f < opt.frames; ++f) {
-    if (opt.period_ms > 0.0) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(opt.period_ms * f)));
-    }
-    for (SessionState& state : states) {
-      auto future = service.submit(state.id, state.request);
-      if (future) {
-        futures[static_cast<std::size_t>(state.id)].push_back(std::move(*future));
-      } else {
-        ++out.rejected;
-      }
-    }
-  }
-  service.drain();
-  out.elapsed_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-
-  for (SessionState& state : states) {
-    for (std::future<pvr::FrameResult>& future : futures[static_cast<std::size_t>(state.id)]) {
-      pvr::FrameResult frame = future.get();
-      if (frame.status == pvr::FrameStatus::kShed) {
-        ++state.row.shed;
-        continue;
-      }
-      ++state.row.completed;
-      if (!(frame.image == state.reference)) {
-        state.row.identical = false;
-        diverged = true;
-        std::cerr << "DIVERGENCE: " << state.row.name << " frame " << frame.id
-                  << " differs from the serial reference\n";
-      }
-    }
-  }
-
-  const pvr::ServiceStats stats = service.stats();
-  out.completed = stats.completed;
-  out.shed = stats.shed;
-  out.p50_ms = pvr::latency_percentile(stats.latencies_ms, 50.0);
-  out.p99_ms = pvr::latency_percentile(stats.latencies_ms, 99.0);
-  out.frames_per_sec =
-      out.elapsed_ms > 0.0 ? static_cast<double>(stats.completed) / (out.elapsed_ms / 1e3) : 0.0;
-  for (SessionState& state : states) out.rows.push_back(std::move(state.row));
-
-  std::cout << "  sessions=" << out.sessions << " frames/session=" << out.frames_per_session
-            << ": " << out.completed << " completed, " << out.shed << " shed, "
-            << out.frames_per_sec << " frames/s, p50 " << out.p50_ms << " ms, p99 "
-            << out.p99_ms << " ms\n";
-  return out;
-}
-
-void write_traffic_json(const PerfOptions& opt, const TrafficResult& t, bool diverged) {
-  std::ostringstream js;
-  js << "{\n";
-  js << "  \"bench\": 10,\n";
-  js << "  \"tool\": \"slspvr-perf\",\n";
-  js << "  \"mode\": \"traffic\",\n";
-  js << "  \"smoke\": " << (opt.smoke ? "true" : "false") << ",\n";
-  js << "  \"isa\": \"" << kern::isa_name(kern::active_isa()) << "\",\n";
-  js << "  \"sessions\": " << t.sessions << ",\n";
-  js << "  \"frames_per_session\": " << t.frames_per_session << ",\n";
-  js << "  \"period_ms\": " << t.period_ms << ",\n";
-  js << "  \"elapsed_ms\": " << t.elapsed_ms << ",\n";
-  js << "  \"completed\": " << t.completed << ",\n";
-  js << "  \"shed\": " << t.shed << ",\n";
-  js << "  \"rejected\": " << t.rejected << ",\n";
-  js << "  \"frames_per_sec\": " << t.frames_per_sec << ",\n";
-  js << "  \"p50_ms\": " << t.p50_ms << ",\n";
-  js << "  \"p99_ms\": " << t.p99_ms << ",\n";
-  js << "  \"identical\": " << (diverged ? "false" : "true") << ",\n";
-  js << "  \"per_session\": [\n";
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    const TrafficSessionRow& r = t.rows[i];
-    js << "    {\"name\": \"" << r.name << "\", \"method\": \"" << r.method
-       << "\", \"image\": " << r.image_size << ", \"ranks\": " << r.ranks
-       << ", \"completed\": " << r.completed << ", \"shed\": " << r.shed
-       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < t.rows.size() ? "," : "") << "\n";
-  }
-  js << "  ]\n";
-  js << "}\n";
-
-  std::ofstream out(opt.out);
-  if (!out) {
-    std::cerr << "slspvr-perf: cannot write " << opt.out << "\n";
-    std::exit(1);
-  }
-  out << js.str();
-  std::cout << "wrote " << opt.out << "\n";
-}
-
 void write_json(const PerfOptions& opt, const std::vector<KernelRow>& kernels,
-                const std::vector<MethodRow>& methods, const std::vector<WorkerRow>& workers,
-                const std::vector<FusedRow>& fused, bool diverged) {
+                const std::vector<MethodRow>& methods, bool diverged) {
   std::ostringstream js;
   js << "{\n";
   js << "  \"bench\": 8,\n";
@@ -762,27 +304,6 @@ void write_json(const PerfOptions& opt, const std::vector<KernelRow>& kernels,
        << ", \"identical\": " << (m.identical ? "true" : "false") << "}"
        << (i + 1 < methods.size() ? "," : "") << "\n";
   }
-  js << "  ],\n";
-  js << "  \"workers\": [\n";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerRow& w = workers[i];
-    js << "    {\"method\": \"" << w.method << "\", \"ranks\": " << w.ranks
-       << ", \"image\": " << w.size << ", \"workers\": " << w.workers
-       << ", \"wall_ms\": " << w.wall_ms
-       << ", \"identical\": " << (w.identical ? "true" : "false") << "}"
-       << (i + 1 < workers.size() ? "," : "") << "\n";
-  }
-  js << "  ],\n";
-  js << "  \"fused\": [\n";
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    const FusedRow& f = fused[i];
-    js << "    {\"method\": \"" << f.method << "\", \"ranks\": " << f.ranks
-       << ", \"image\": " << f.size << ", \"fused_ms\": " << f.fused_ms
-       << ", \"unfused_ms\": " << f.unfused_ms << ", \"speedup\": "
-       << (f.fused_ms > 0.0 ? f.unfused_ms / f.fused_ms : 0.0)
-       << ", \"identical\": " << (f.identical ? "true" : "false") << "}"
-       << (i + 1 < fused.size() ? "," : "") << "\n";
-  }
   js << "  ]\n";
   js << "}\n";
 
@@ -798,26 +319,15 @@ void write_json(const PerfOptions& opt, const std::vector<KernelRow>& kernels,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const PerfOptions opt = parse_args(argc, argv);
+  PerfOptions opt;
+  try {
+    opt = parse_args(argc, argv);
+  } catch (const tools::ParseError& e) {
+    std::cerr << "slspvr-perf: " << e.what() << "\n";
+    return 2;
+  }
   std::cout << "slspvr-perf: isa=" << kern::isa_name(kern::active_isa())
             << (opt.smoke ? " (smoke)" : "") << "\n";
-
-  if (opt.traffic) {
-    std::cout << "traffic:\n";
-    bool diverged = false;
-    const TrafficResult traffic = run_traffic_bench(opt, diverged);
-    write_traffic_json(opt, traffic, diverged);
-    if (diverged) {
-      std::cerr << "slspvr-perf: FAIL — concurrent frame diverged from serial reference\n";
-      return 1;
-    }
-    if (opt.p99_bound_ms > 0.0 && traffic.p99_ms > opt.p99_bound_ms) {
-      std::cerr << "slspvr-perf: FAIL — p99 " << traffic.p99_ms << " ms exceeds bound "
-                << opt.p99_bound_ms << " ms\n";
-      return 1;
-    }
-    return 0;
-  }
 
   std::cout << "kernels:\n";
   const auto kernels = run_kernel_benches(opt);
@@ -826,13 +336,7 @@ int main(int argc, char** argv) {
   bool diverged = false;
   const auto methods = run_method_benches(opt, diverged);
 
-  std::cout << "workers:\n";
-  const auto workers = run_worker_benches(opt, diverged);
-
-  std::cout << "fused:\n";
-  const auto fused = run_fused_benches(opt, diverged);
-
-  write_json(opt, kernels, methods, workers, fused, diverged);
+  write_json(opt, kernels, methods, diverged);
   if (diverged) {
     std::cerr << "slspvr-perf: FAIL — frame divergence detected\n";
     return 1;
