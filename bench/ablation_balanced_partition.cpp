@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 #include "volume/partition.hpp"
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
         config.ranks = ranks;
         config.balanced_partition = balanced;
         const pvr::Experiment experiment(config);
-        const core::BsbrcCompositor bsbrc;
+        const core::Compositor& bsbrc = core::bsbrc();
         const auto result = experiment.run(bsbrc);
 
         table.add_row({ds.name, std::to_string(ranks), balanced ? "balanced" : "uniform",

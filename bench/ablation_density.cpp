@@ -8,10 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/binary_swap.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 #include "pvr/synthetic.hpp"
@@ -31,10 +28,10 @@ int main(int argc, char** argv) {
   pvr::TextTable table({"density", "BS", "BSBR", "BSLC", "BSBRC", "BSBR/BSBRC", "M_BSBR",
                         "M_BSBRC"});
 
-  const core::BinarySwapCompositor bs;
-  const core::BsbrCompositor bsbr;
-  const core::BslcCompositor bslc;
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bs = core::bs();
+  const core::Compositor& bsbr = core::bsbr();
+  const core::Compositor& bslc = core::bslc();
+  const core::Compositor& bsbrc = core::bsbrc();
   const core::SwapOrder order = core::make_uniform_order(levels);
 
   for (const double density : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 0.97}) {

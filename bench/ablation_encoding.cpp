@@ -8,8 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 
@@ -24,9 +23,9 @@ int main(int argc, char** argv) {
   std::cout << "Ablation — encoding scheme and rectangle-update policy, " << image << "x"
             << image << " (volume scale " << options.scale << ")\n\n";
 
-  const core::BsbrcCompositor bsbrc(false);
-  const core::BsbrcCompositor bsbrc_tight(true);
-  const core::BsbrsCompositor bsbrs;
+  const core::Compositor& bsbrc = core::bsbrc();
+  const core::Compositor& bsbrc_tight = core::bsbrc_tight();
+  const core::Compositor& bsbrs = core::bsbrs();
 
   pvr::TextTable table({"dataset", "P", "method", "T_total", "M_max", "encoded px",
                         "rect-scanned px"});

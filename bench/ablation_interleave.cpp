@@ -11,7 +11,7 @@
 #include <numeric>
 
 #include "bench_common.hpp"
-#include "core/bslc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 #include "pvr/synthetic.hpp"
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
             << "(all non-blank pixels in one corner covering 10% of the " << image_size
             << "x" << image_size << " image)\n\n";
 
-  const core::BslcCompositor interleaved(true);
-  const core::BslcCompositor contiguous(false);
+  const core::Compositor& interleaved = core::bslc();
+  const core::Compositor& contiguous = core::bslc_noninterleaved();
 
   pvr::TextTable table({"P", "variant", "M_max", "mean recv", "imbalance", "T_total"});
   for (const int ranks : {4, 8, 16, 32}) {

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   pvr::TextTable table({"P", "partition total", "partition max/PE", "ghost overhead",
                         "BSBRC frame traffic"});
 
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   for (const int ranks : options.ranks) {
     pvr::ExperimentConfig config;
     config.dataset = vol::DatasetKind::Head;

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/bslc.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/timeline.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   pvr::TextTable skewed({"method", "additive T_total", "timeline makespan", "max wait"});
   const auto subimages = pvr::make_skewed_subimages(ranks, image, image, 0.10);
   const auto order = core::make_uniform_order(4);
-  const core::BslcCompositor interleaved(true);
-  const core::BslcCompositor contiguous(false);
+  const core::Compositor& interleaved = core::bslc();
+  const core::Compositor& contiguous = core::bslc_noninterleaved();
   for (const auto* method : {static_cast<const core::Compositor*>(&interleaved),
                              static_cast<const core::Compositor*>(&contiguous)}) {
     const auto result = pvr::run_compositing(*method, subimages, order);

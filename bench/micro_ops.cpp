@@ -5,8 +5,8 @@
 // prepared per call or once.
 #include <benchmark/benchmark.h>
 
-#include "core/bsbrc.hpp"
 #include "core/engine.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/worker_pool.hpp"
 #include "core/order.hpp"
 #include "core/wire.hpp"
@@ -236,7 +236,7 @@ void BM_BinarySwapSpmd(benchmark::State& state) {
   // check that methods run in microsecond-to-millisecond range in-process.
   const auto subimages = pvr::make_subimages(8, 256, 256, 0.3);
   const auto order = core::make_uniform_order(3);
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pvr::run_compositing(bsbrc, subimages, order));
   }

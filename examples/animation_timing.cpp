@@ -10,8 +10,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "image/image_io.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
@@ -28,8 +27,8 @@ int main(int argc, char** argv) {
   std::cout << "Animation sweep — engine_high, P=16, " << frames
             << " frames rotating 0..90 degrees about y\n\n";
 
-  const core::BsbrCompositor bsbr;
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbr = core::bsbr();
+  const core::Compositor& bsbrc = core::bsbrc();
   pvr::TextTable table({"frame", "rot_y", "render wall(ms)", "BSBR T_total",
                         "BSBRC T_total", "BSBRC M_max"});
 

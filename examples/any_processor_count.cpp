@@ -12,7 +12,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "image/image_io.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   std::cout << "Binary-swap on any processor count via folding (dataset: cube)\n\n";
   pvr::TextTable table({"P", "method", "T_total(ms)", "M_max(bytes)", "max |err| vs ref"});
 
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
 
   for (const int ranks : {3, 5, 6, 7, 12}) {
     pvr::ExperimentConfig config;

@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "image/compare.hpp"
 #include "image/image_io.hpp"
 #include "pvr/experiment.hpp"
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   config.rot_y_deg = 24.0f;
 
   const pvr::Experiment experiment(dataset, config);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const auto result = experiment.run(bsbrc);
 
   const auto reference = experiment.reference();

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "image/compare.hpp"
 #include "image/image_io.hpp"
 #include "pvr/experiment.hpp"
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
             << scale << ")\n\n";
 
   const pvr::Experiment experiment(config);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const auto result = experiment.run(bsbrc);
 
   const auto reference = experiment.reference();

@@ -11,7 +11,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
 #include "image/image_io.hpp"
@@ -36,7 +36,7 @@ int main() {
   const pvr::Experiment experiment(config);
 
   // Composite with BSBRC (step 4).
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::MethodResult result = experiment.run(bsbrc);
 
   // Save the final image (step 5).

@@ -16,7 +16,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "core/bsbr.hpp"
+#include "core/plan_compositor.hpp"
 #include "mp/runtime.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/report.hpp"
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   pvr::TextTable table(
       {"view", "paper bound", "measured max", "measured mean", "stages (log P)"});
 
-  const core::BsbrCompositor bsbr;
+  const core::Compositor& bsbr = core::bsbr();
   int stages = 0;
   while ((1 << stages) < ranks) ++stages;
 

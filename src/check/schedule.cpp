@@ -105,7 +105,7 @@ std::int64_t max_region_pixels(const RegionSpec& region, int width, int height) 
     area = max_sliced_rect(w, h, region.radices, 0);
   }
   if (region.bands > 1) {
-    // Horizontal bands of the (possibly halved) region: band_of uses floor
+    // Horizontal bands of the (possibly halved) region: band_parts uses floor
     // ratios, so a band spans at most ceil(h/bands) + 1 rows; stay safe.
     area = (ceil_div(h, region.bands) + 1) * w;
   }

@@ -1,29 +1,15 @@
-// BS: the plain binary-swap compositing method (Ma et al. 1994, Sec. 3.1).
-//
-// At stage k each PE pairs with the rank differing in bit (k-1), ships the
-// half of its current region it gives up — every pixel, blank or not — and
-// composites the half it keeps with the received half. log P stages; total
-// pixels shipped per PE: sum_k A/2^k (Eq. 1/2). This is the baseline the
-// three proposed methods improve on.
+// BinarySwapCompositor: a constructor-only shim over core::bs() (core/plan_compositor.hpp),
+// kept only because perfbench names this class. New code uses core::bs();
+// the shim goes with perfbench's next change.
 #pragma once
 
-#include "core/compositor.hpp"
+#include "core/plan_compositor.hpp"
 
 namespace slspvr::core {
 
-class BinarySwapCompositor final : public Compositor {
+class BinarySwapCompositor : public PlanCompositor {
  public:
-  [[nodiscard]] std::string_view name() const override { return "BS"; }
-
-  using Compositor::composite;
-  Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
-                      Counters& counters, EngineContext& engine) const override;
-
-  [[nodiscard]] check::CommSchedule schedule(int ranks) const override;
-
-  [[nodiscard]] std::optional<ExchangePlan> resume_plan(int ranks) const override {
-    return binary_swap_plan(ranks);
-  }
+  BinarySwapCompositor() : PlanCompositor(bs()) {}
 };
 
 }  // namespace slspvr::core

@@ -1,42 +1,15 @@
-// BSBRC: binary-swap with bounding rectangle AND run-length encoding
-// (Sec. 3.4) — the paper's best method.
-//
-// Combines the two ideas so each cancels the other's weakness: the encoder
-// only iterates pixels inside the sending bounding rectangle (cheap T_encode
-// over A_send^k instead of A/2^k), and the wire carries only the rectangle
-// header, the codes and the non-blank pixels (no blank filler, unlike BSBR).
-// This is a faithful implementation of the BSBRC(P) algorithm listing.
+// BsbrcCompositor: a constructor-only shim over core::bsbrc() (core/plan_compositor.hpp),
+// kept only because perfbench names this class. New code uses core::bsbrc();
+// the shim goes with perfbench's next change.
 #pragma once
 
-#include "core/compositor.hpp"
+#include "core/plan_compositor.hpp"
 
 namespace slspvr::core {
 
-class BsbrcCompositor final : public Compositor {
+class BsbrcCompositor : public PlanCompositor {
  public:
-  /// `tight_rescan` replaces the paper's O(1) rectangle update (line 21:
-  /// union of kept and received rectangles) with a full rescan of the kept
-  /// region each stage — a tighter rectangle at O(region) extra scan cost.
-  /// Used by the rectangle-update ablation; the paper's method is the
-  /// default.
-  explicit BsbrcCompositor(bool tight_rescan = false) : tight_rescan_(tight_rescan) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return tight_rescan_ ? "BSBRC-tight" : "BSBRC";
-  }
-
-  using Compositor::composite;
-  Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
-                      Counters& counters, EngineContext& engine) const override;
-
-  [[nodiscard]] check::CommSchedule schedule(int ranks) const override;
-
-  [[nodiscard]] std::optional<ExchangePlan> resume_plan(int ranks) const override {
-    return binary_swap_plan(ranks);
-  }
-
- private:
-  bool tight_rescan_;
+  BsbrcCompositor() : PlanCompositor(bsbrc()) {}
 };
 
 }  // namespace slspvr::core

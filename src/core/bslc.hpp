@@ -1,37 +1,15 @@
-// BSLC: binary-swap with run-length encoding and static load balancing
-// (Sec. 3.3).
-//
-// The exchange rule is binary swap, but the half a PE gives up is an
-// *interleaved* pixel set (Figure 6) rather than a contiguous block, so
-// non-blank pixels spread evenly across PEs. The sent half is run-length
-// encoded on the blank/non-blank pattern (Figure 5): only the 2-byte codes
-// and the non-blank pixel values travel. The cost: the encoder must iterate
-// the entire A/2^k sent half each stage (the dominant T_encode term that
-// makes BSLC's T_comp the largest of the four methods).
+// BslcCompositor: a constructor-only shim over core::bslc() (core/plan_compositor.hpp),
+// kept only because perfbench names this class. New code uses core::bslc();
+// the shim goes with perfbench's next change.
 #pragma once
 
-#include "core/compositor.hpp"
+#include "core/plan_compositor.hpp"
 
 namespace slspvr::core {
 
-class BslcCompositor final : public Compositor {
+class BslcCompositor : public PlanCompositor {
  public:
-  /// `interleaved` = false degrades BSLC to contiguous halves (RLE without
-  /// the static load balancing) — used by the interleave ablation bench.
-  explicit BslcCompositor(bool interleaved = true) : interleaved_(interleaved) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return interleaved_ ? "BSLC" : "BSLC-noninterleaved";
-  }
-
-  using Compositor::composite;
-  Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
-                      Counters& counters, EngineContext& engine) const override;
-
-  [[nodiscard]] check::CommSchedule schedule(int ranks) const override;
-
- private:
-  bool interleaved_;
+  BslcCompositor() : PlanCompositor(bslc()) {}
 };
 
 }  // namespace slspvr::core

@@ -14,19 +14,6 @@ namespace slspvr::core {
 
 namespace {
 
-/// Static horizontal bands of the full frame (direct send's floor-ratio
-/// boundaries, matching the historical band_of).
-[[nodiscard]] std::vector<img::Rect> band_parts(const img::Rect& bounds, int radix) {
-  std::vector<img::Rect> parts(static_cast<std::size_t>(radix));
-  const std::int64_t h = bounds.height();
-  for (int j = 0; j < radix; ++j) {
-    const int y0 = bounds.y0 + static_cast<int>(h * j / radix);
-    const int y1 = bounds.y0 + static_cast<int>(h * (j + 1) / radix);
-    parts[static_cast<std::size_t>(j)] = img::Rect{bounds.x0, y0, bounds.x1, y1};
-  }
-  return parts;
-}
-
 /// Split an interleaved progression `radix` ways: balanced keeps every part
 /// evenly spread (stride multiplies — InterleavedRange::split at radix 2);
 /// contiguous takes consecutive index blocks with ceil boundaries.

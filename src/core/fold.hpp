@@ -11,6 +11,7 @@
 // slabs and leader index order equals slab depth order.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "core/compositor.hpp"
@@ -60,6 +61,27 @@ class FoldCompositor final : public Compositor {
  private:
   const Compositor& inner_;
   std::string name_;
+};
+
+/// The one fold decision, keyed on the rank count: a frame over `ranks` PEs
+/// runs `method` itself at a power of two, and `method` inside the fold
+/// extension at any other count — whose order then comes from
+/// make_fold_order over slab bricks, as pvr::partition_frame builds it. The
+/// wrapper lives here, so keep this alive while get() is in use.
+class ResolvedMethod {
+ public:
+  ResolvedMethod(const Compositor& method, int ranks) : method_(method) {
+    if (!vol::is_power_of_two(ranks)) fold_.emplace(method);
+  }
+
+  [[nodiscard]] const Compositor& get() const noexcept {
+    if (fold_) return *fold_;
+    return method_;
+  }
+
+ private:
+  const Compositor& method_;
+  std::optional<FoldCompositor> fold_;
 };
 
 }  // namespace slspvr::core

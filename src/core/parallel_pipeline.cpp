@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/direct_send.hpp"
 #include "core/plan.hpp"
 #include "image/pack.hpp"
 
@@ -59,10 +58,11 @@ Ownership ParallelPipelineCompositor::composite(mp::Comm& comm, img::Image& imag
 
   img::Image result(image.width(), image.height());
   img::Rect my_band;
+  const std::vector<img::Rect> bands = band_parts(image.bounds(), ranks);
 
   for (int s = 0; s < ranks; ++s) {
     const int band_index = ((q - s) % ranks + ranks) % ranks;
-    const img::Rect band = DirectSendCompositor::band_of(image.bounds(), band_index, ranks);
+    const img::Rect& band = bands[static_cast<std::size_t>(band_index)];
 
     if (s == 0) {
       partial_a.clear();

@@ -216,6 +216,17 @@ std::vector<img::Rect> split_rect_parts(const img::Rect& region, int radix) {
   return parts;
 }
 
+std::vector<img::Rect> band_parts(const img::Rect& bounds, int bands) {
+  std::vector<img::Rect> parts(static_cast<std::size_t>(bands));
+  const std::int64_t h = bounds.height();
+  for (int j = 0; j < bands; ++j) {
+    const int y0 = bounds.y0 + static_cast<int>(h * j / bands);
+    const int y1 = bounds.y0 + static_cast<int>(h * (j + 1) / bands);
+    parts[static_cast<std::size_t>(j)] = img::Rect{bounds.x0, y0, bounds.x1, y1};
+  }
+  return parts;
+}
+
 EpochState plan_epoch_state(const ExchangePlan& plan, int completed_stages,
                             const img::Rect& frame) {
   require_positive(plan.ranks, "plan_epoch_state");

@@ -139,6 +139,12 @@ struct WireTraits {
 /// analysis (replaying them) must agree on it byte-for-byte.
 [[nodiscard]] std::vector<img::Rect> split_rect_parts(const img::Rect& region, int radix);
 
+/// Cut `bounds` into `bands` horizontal bands with floor-ratio row
+/// boundaries; band j is owned by rank j. The geometry behind
+/// SplitRule::kBand (direct send's parts), shared with the ring pipeline's
+/// circulating bands.
+[[nodiscard]] std::vector<img::Rect> band_parts(const img::Rect& bounds, int bands);
+
 /// The protocol state after `completed_stages` stages of a rect plan:
 /// `region[r]` is the rectangle rank r owns, and `contributors[r]` (sorted)
 /// lists the ranks whose subimages are already composited into r's partial

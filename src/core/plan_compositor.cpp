@@ -7,10 +7,9 @@
 namespace slspvr::core {
 
 ExchangePlan PlanCompositor::plan_for(int ranks) const {
-  const SplitRule split = SplitRule::kBalanced;
   switch (family_) {
-    case PlanFamily::kBinarySwap: return binary_swap_plan(ranks, split);
-    case PlanFamily::kKary: return kary_plan(ranks, split);
+    case PlanFamily::kBinarySwap: return binary_swap_plan(ranks, split_);
+    case PlanFamily::kKary: return kary_plan(ranks, split_);
     case PlanFamily::kDirectSend: return direct_send_plan(ranks);
     case PlanFamily::kBinaryTree: return binary_tree_plan(ranks);
   }
@@ -36,6 +35,61 @@ std::optional<ExchangePlan> PlanCompositor::resume_plan(int ranks) const {
       !codec_for(codec_).scalar();
   if (!balanced_rect) return std::nullopt;
   return plan_for(ranks);
+}
+
+const PlanCompositor& bs() {
+  static const PlanCompositor method("BS", PlanFamily::kBinarySwap, CodecKind::kFullPixel,
+                                     TrackerKind::kNone);
+  return method;
+}
+
+const PlanCompositor& bsbr() {
+  static const PlanCompositor method("BSBR", PlanFamily::kBinarySwap,
+                                     CodecKind::kBoundingRect, TrackerKind::kUnion);
+  return method;
+}
+
+const PlanCompositor& bslc() {
+  static const PlanCompositor method("BSLC", PlanFamily::kBinarySwap,
+                                     CodecKind::kInterleavedRle, TrackerKind::kNone);
+  return method;
+}
+
+const PlanCompositor& bslc_noninterleaved() {
+  static const PlanCompositor method("BSLC-noninterleaved", PlanFamily::kBinarySwap,
+                                     CodecKind::kInterleavedRle, TrackerKind::kNone,
+                                     SplitRule::kContiguous);
+  return method;
+}
+
+const PlanCompositor& bsbrc() {
+  static const PlanCompositor method("BSBRC", PlanFamily::kBinarySwap, CodecKind::kRleRect,
+                                     TrackerKind::kUnion);
+  return method;
+}
+
+const PlanCompositor& bsbrc_tight() {
+  static const PlanCompositor method("BSBRC-tight", PlanFamily::kBinarySwap,
+                                     CodecKind::kRleRect, TrackerKind::kRescan);
+  return method;
+}
+
+const PlanCompositor& bsbrs() {
+  static const PlanCompositor method("BSBRS", PlanFamily::kBinarySwap, CodecKind::kSpanRect,
+                                     TrackerKind::kUnion);
+  return method;
+}
+
+const PlanCompositor& direct_send_full() {
+  static const PlanCompositor method("DirectSend-full", PlanFamily::kDirectSend,
+                                     CodecKind::kFullPixel, TrackerKind::kNone);
+  return method;
+}
+
+const PlanCompositor& direct_send_sparse() {
+  static const PlanCompositor method("DirectSend-sparse", PlanFamily::kDirectSend,
+                                     CodecKind::kBoundingRect, TrackerKind::kUnion);
+  return method;
 }
 
 }  // namespace slspvr::core

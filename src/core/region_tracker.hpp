@@ -2,11 +2,11 @@
 // pixels across compositing stages.
 //
 // The sparse methods clip every outgoing part to this rectangle (Sec. 3.2's
-// T_bound optimisation). Two maintenance policies exist, previously hidden
-// inside BSBRC's `tight_rescan_` flag: the O(1) bounding-union update the
-// paper uses (algorithm line 21) and the exact-rescan ablation that re-scans
-// the kept region each stage for a tight rectangle. Dense codecs use kNone
-// and pay no scan at all.
+// T_bound optimisation). Two maintenance policies exist: the O(1)
+// bounding-union update the paper uses (algorithm line 21, core::bsbrc()) and
+// the exact-rescan ablation that re-scans the kept region each stage for a
+// tight rectangle (core::bsbrc_tight()). Dense codecs use kNone and pay no
+// scan at all.
 #pragma once
 
 #include "core/counters.hpp"

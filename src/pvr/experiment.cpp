@@ -7,13 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
 #include "core/engine.hpp"
 #include "core/fold.hpp"
 #include "core/parallel_pipeline.hpp"
@@ -28,6 +22,27 @@
 
 namespace slspvr::pvr {
 
+FramePartition partition_frame(const vol::Dataset& dataset, const ExperimentConfig& config) {
+  const vol::Dims dims = dataset.volume.dims();
+  const render::OrthoCamera camera(dims, config.image_size, config.image_size,
+                                   config.rot_x_deg, config.rot_y_deg);
+  float dir[3];
+  camera.view_dir_array(dir);
+  FramePartition out;
+  if (vol::is_power_of_two(config.ranks)) {
+    const vol::KdPartition partition =
+        config.balanced_partition
+            ? vol::kd_partition_balanced(dataset.volume, config.ranks, 64)
+            : vol::kd_partition(dims, config.ranks);
+    out.bricks = partition.bricks;
+    out.order = core::make_swap_order(partition, dir);
+  } else {
+    out.bricks = vol::slab_partition(dims, config.ranks, /*axis=*/0);
+    out.order = core::make_fold_order(config.ranks, /*axis=*/0, dir);
+  }
+  return out;
+}
+
 Experiment::Experiment(const ExperimentConfig& config)
     : Experiment(vol::make_dataset(config.dataset, config.volume_scale), config) {}
 
@@ -36,33 +51,17 @@ Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& conf
     : config_(config) {
   if (config.ranks <= 0) throw std::invalid_argument("Experiment: ranks must be positive");
 
-  const vol::Dims dims = dataset.volume.dims();
-
-  render::OrthoCamera camera(dims, config.image_size, config.image_size, config.rot_x_deg,
-                             config.rot_y_deg);
-  float dir[3];
-  camera.view_dir_array(dir);
-
   // Partitioning phase.
-  if (vol::is_power_of_two(config.ranks)) {
-    const vol::KdPartition partition =
-        config.balanced_partition
-            ? vol::kd_partition_balanced(dataset.volume, config.ranks, 64)
-            : vol::kd_partition(dims, config.ranks);
-    bricks_ = partition.bricks;
-    order_ = core::make_swap_order(partition, dir);
-    folded_ = false;
-  } else {
-    // Non-power-of-two: depth-ordered slabs along x + the fold extension.
-    bricks_ = vol::slab_partition(dims, config.ranks, /*axis=*/0);
-    order_ = core::make_fold_order(config.ranks, /*axis=*/0, dir);
-    folded_ = true;
-  }
+  FramePartition partition = partition_frame(dataset, config);
+  bricks_ = std::move(partition.bricks);
+  order_ = std::move(partition.order);
 
   // Rendering phase. The distributed path executes the partitioning phase
   // over the message-passing runtime (rank 0 ships ghost bricks, PEs render
   // local-only); the default renders each brick against the shared volume —
   // identical images, no partition traffic to account.
+  const render::OrthoCamera camera(dataset.volume.dims(), config.image_size, config.image_size,
+                                   config.rot_x_deg, config.rot_y_deg);
   render::RaycastOptions options;
   options.step = config.step;
   if (config.distributed_partitioning && !config.use_splatting) {
@@ -184,66 +183,52 @@ FtMethodResult run_compositing_ft(const core::Compositor& method,
 
 FtMethodResult Experiment::run_ft(const core::Compositor& method,
                                   const mp::FaultPlan& faults) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing_ft(*compositor, subimages_, order_, faults, config_.cost_model,
+  const core::ResolvedMethod resolved(method, config_.ranks);
+  return run_compositing_ft(resolved.get(), subimages_, order_, faults, config_.cost_model,
                             config_.engine);
 }
 
 MethodResult Experiment::run(const core::Compositor& method) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing(*compositor, subimages_, order_, config_.cost_model, config_.engine);
+  const core::ResolvedMethod resolved(method, config_.ranks);
+  return run_compositing(resolved.get(), subimages_, order_, config_.cost_model,
+                         config_.engine);
 }
 
-std::vector<std::unique_ptr<core::Compositor>> MethodSet::paper_methods() {
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BinarySwapCompositor>());
-  methods.push_back(std::make_unique<core::BsbrCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  return methods;
+std::vector<const core::Compositor*> MethodSet::paper_methods() {
+  return {&core::bs(), &core::bsbr(), &core::bslc(), &core::bsbrc()};
 }
 
-std::vector<std::unique_ptr<core::Compositor>> MethodSet::proposed_methods() {
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BsbrCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  return methods;
+std::vector<const core::Compositor*> MethodSet::proposed_methods() {
+  return {&core::bsbr(), &core::bslc(), &core::bsbrc()};
 }
 
-std::vector<std::unique_ptr<core::Compositor>> MethodSet::all_methods() {
+std::vector<const core::Compositor*> MethodSet::all_methods() {
+  static const core::BinaryTreeCompositor tree;
+  static const core::ParallelPipelineCompositor pipeline;
   auto methods = paper_methods();
-  methods.push_back(std::make_unique<core::BsbrsCompositor>());
-  methods.push_back(std::make_unique<core::BinaryTreeCompositor>());
-  methods.push_back(std::make_unique<core::DirectSendCompositor>(false));
-  methods.push_back(std::make_unique<core::DirectSendCompositor>(true));
-  methods.push_back(std::make_unique<core::ParallelPipelineCompositor>());
+  methods.insert(methods.end(), {&core::bsbrs(), &tree, &core::direct_send_full(),
+                                 &core::direct_send_sparse(), &pipeline});
   return methods;
 }
 
-std::vector<std::unique_ptr<core::Compositor>> MethodSet::plan_combinations() {
+std::vector<const core::Compositor*> MethodSet::plan_combinations() {
   using core::CodecKind;
   using core::PlanCompositor;
   using core::PlanFamily;
   using core::TrackerKind;
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "KaryBS", PlanFamily::kKary, CodecKind::kFullPixel, TrackerKind::kNone));
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "KaryBR", PlanFamily::kKary, CodecKind::kBoundingRect, TrackerKind::kUnion));
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "KaryBRC", PlanFamily::kKary, CodecKind::kRleRect, TrackerKind::kUnion));
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "KaryLC", PlanFamily::kKary, CodecKind::kInterleavedRle, TrackerKind::kNone));
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "Tree-BRC", PlanFamily::kBinaryTree, CodecKind::kRleRect, TrackerKind::kUnion));
-  methods.push_back(std::make_unique<PlanCompositor>(
-      "DirectSend-BRC", PlanFamily::kDirectSend, CodecKind::kRleRect, TrackerKind::kUnion));
-  return methods;
+  static const PlanCompositor kary_bs("KaryBS", PlanFamily::kKary, CodecKind::kFullPixel,
+                                      TrackerKind::kNone);
+  static const PlanCompositor kary_br("KaryBR", PlanFamily::kKary, CodecKind::kBoundingRect,
+                                      TrackerKind::kUnion);
+  static const PlanCompositor kary_brc("KaryBRC", PlanFamily::kKary, CodecKind::kRleRect,
+                                       TrackerKind::kUnion);
+  static const PlanCompositor kary_lc("KaryLC", PlanFamily::kKary, CodecKind::kInterleavedRle,
+                                      TrackerKind::kNone);
+  static const PlanCompositor tree_brc("Tree-BRC", PlanFamily::kBinaryTree,
+                                       CodecKind::kRleRect, TrackerKind::kUnion);
+  static const PlanCompositor ds_brc("DirectSend-BRC", PlanFamily::kDirectSend,
+                                     CodecKind::kRleRect, TrackerKind::kUnion);
+  return {&kary_bs, &kary_br, &kary_brc, &kary_lc, &tree_brc, &ds_brc};
 }
 
 }  // namespace slspvr::pvr

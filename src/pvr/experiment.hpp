@@ -7,11 +7,11 @@
 // modelled times (SP2 cost model), M_max, wall-clock, per-rank counters and
 // the gathered final image. Power-of-two rank counts use the kd partition;
 // any other count automatically switches to the slab decomposition and
-// wraps the method in the non-power-of-two fold extension.
+// wraps the method in the non-power-of-two fold extension (partition_frame
+// and core::ResolvedMethod, the two halves of that one decision).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +50,20 @@ struct ExperimentConfig {
   /// every compositing run; there is no process-global engine state to set.
   core::EngineConfig engine;
 };
+
+/// The partitioning phase of one view (Figure 1): the PE bricks and their
+/// depth order. A power-of-two rank count cuts kd bricks (balanced ones with
+/// config.balanced_partition); any other count cuts depth-ordered slabs
+/// along x in the fold order core::ResolvedMethod pairs with. Deterministic
+/// in (volume, config), which is what makes a respawned process rank's
+/// view byte-identical to its dead predecessor's.
+struct FramePartition {
+  std::vector<vol::Brick> bricks;
+  core::SwapOrder order;
+};
+
+[[nodiscard]] FramePartition partition_frame(const vol::Dataset& dataset,
+                                             const ExperimentConfig& config);
 
 /// One observed failure during a fault-tolerant run. Ranks are reported in
 /// the *original* (attempt-0) numbering, including failures seen during
@@ -135,8 +149,6 @@ class Experiment {
   }
   [[nodiscard]] const core::SwapOrder& order() const noexcept { return order_; }
   [[nodiscard]] const std::vector<vol::Brick>& bricks() const noexcept { return bricks_; }
-  /// Non-power-of-two rank counts need methods wrapped in the fold extension.
-  [[nodiscard]] bool folded() const noexcept { return folded_; }
 
   /// Sequential depth-ordered composite of the subimages — the ground truth.
   [[nodiscard]] img::Image reference() const;
@@ -164,7 +176,6 @@ class Experiment {
   std::vector<vol::Brick> bricks_;
   core::SwapOrder order_;
   std::vector<img::Image> subimages_;
-  bool folded_ = false;  ///< non-power-of-two ranks: wrap methods in Fold
   std::uint64_t total_partition_bytes_ = 0;
   std::uint64_t max_partition_bytes_ = 0;
 };
@@ -194,17 +205,19 @@ class Experiment {
     const core::CostModel& model = core::CostModel::sp2(),
     const core::EngineConfig& engine = {}, core::EngineArena* arena = nullptr);
 
-/// All four of the paper's methods, in Table 1 column order.
+/// Method lists over shared immutable instances (core's named values and
+/// function-local constants), valid for the life of the process.
 struct MethodSet {
-  [[nodiscard]] static std::vector<std::unique_ptr<core::Compositor>> paper_methods();
+  /// All four of the paper's methods, in Table 1 column order.
+  [[nodiscard]] static std::vector<const core::Compositor*> paper_methods();
   /// The three proposed methods (Table 2 / Figures 8-11).
-  [[nodiscard]] static std::vector<std::unique_ptr<core::Compositor>> proposed_methods();
+  [[nodiscard]] static std::vector<const core::Compositor*> proposed_methods();
   /// Everything in the library, including related-work baselines.
-  [[nodiscard]] static std::vector<std::unique_ptr<core::Compositor>> all_methods();
+  [[nodiscard]] static std::vector<const core::Compositor*> all_methods();
   /// Cross-bred (plan, codec) combinations the decomposition makes free:
   /// k-ary group exchanges (any P, no Fold wrapper) carrying each paper
   /// payload, plus tree and direct-send re-bound to BSBRC's RLE-in-rect.
-  [[nodiscard]] static std::vector<std::unique_ptr<core::Compositor>> plan_combinations();
+  [[nodiscard]] static std::vector<const core::Compositor*> plan_combinations();
 };
 
 }  // namespace slspvr::pvr

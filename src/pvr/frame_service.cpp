@@ -199,12 +199,11 @@ void FrameService::execute(Session& session, Pending pending) {
   }
   const Experiment& experiment = *session.cached;
 
-  const core::FoldCompositor folded(*session.method);
-  const core::Compositor& method =
-      experiment.folded() ? static_cast<const core::Compositor&>(folded) : *session.method;
-  FtMethodResult ft = run_compositing_ft(method, experiment.subimages(), experiment.order(),
-                                         pending.request.faults, session.config.cost_model,
-                                         session.config.engine, &session.arena);
+  const core::ResolvedMethod method(*session.method, experiment.config().ranks);
+  FtMethodResult ft = run_compositing_ft(method.get(), experiment.subimages(),
+                                         experiment.order(), pending.request.faults,
+                                         session.config.cost_model, session.config.engine,
+                                         &session.arena);
 
   const auto finished = std::chrono::steady_clock::now();
   out.status = FrameStatus::kDone;

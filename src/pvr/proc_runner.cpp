@@ -226,37 +226,6 @@ ExperimentConfig sequence_frame_config(const ExperimentConfig& base,
   return cfg;
 }
 
-/// Partition + swap order for one frame's view — the Experiment constructor's
-/// partitioning phase without the rendering phase. Deterministic in
-/// (volume, config), which is what makes a respawned rank's world view
-/// byte-identical to its dead predecessor's.
-struct FrameGeometry {
-  std::vector<vol::Brick> bricks;
-  core::SwapOrder order;
-  bool folded = false;
-};
-
-FrameGeometry derive_frame_geometry(const vol::Dataset& dataset, const ExperimentConfig& cfg) {
-  const vol::Dims dims = dataset.volume.dims();
-  render::OrthoCamera camera(dims, cfg.image_size, cfg.image_size, cfg.rot_x_deg,
-                             cfg.rot_y_deg);
-  float dir[3];
-  camera.view_dir_array(dir);
-  FrameGeometry geom;
-  if (vol::is_power_of_two(cfg.ranks)) {
-    const vol::KdPartition partition =
-        cfg.balanced_partition ? vol::kd_partition_balanced(dataset.volume, cfg.ranks, 64)
-                               : vol::kd_partition(dims, cfg.ranks);
-    geom.bricks = partition.bricks;
-    geom.order = core::make_swap_order(partition, dir);
-  } else {
-    geom.bricks = vol::slab_partition(dims, cfg.ranks, /*axis=*/0);
-    geom.order = core::make_fold_order(cfg.ranks, /*axis=*/0, dir);
-    geom.folded = true;
-  }
-  return geom;
-}
-
 /// Render one rank's brick for one frame's view (the sort-last rendering
 /// phase, restricted to the caller's own brick). A resident worker passes
 /// its kept renderer, so it prepares its brick once; the parent's recovery
@@ -317,7 +286,7 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
     core::EngineContext engine(base.engine);
 
     const int ranks = base.ranks;
-    const core::FoldCompositor folded_method(method);
+    const core::ResolvedMethod resolved(method, ranks);
     // This rank's brick, prepared on the first frame it renders and again
     // only if the brick or the step changes. kd and slab bricks depend only
     // on the dims, balanced kd bricks on the volume: an incarnation
@@ -329,9 +298,9 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
       if (!roster) break;  // kShutdown, dead link, or frame deadline
       const int frame = roster->frame;
       const ExperimentConfig cfg = sequence_frame_config(base, opts, frame);
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
-      img::Image local =
-          render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(rank)], &renderer);
+      const FramePartition partition = partition_frame(dataset, cfg);
+      img::Image local = render_one_brick(
+          dataset, cfg, partition.bricks[static_cast<std::size_t>(rank)], &renderer);
 
       if (!roster->demoted.empty()) {
         // Demoted roster: no full-strength plan exists anymore. Every
@@ -363,11 +332,9 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
         const RetentionGuard retention(&store);
         mp::Comm comm(&ctx, rank);
         core::Counters counters;
-        const core::Compositor& frame_method =
-            geom.folded ? static_cast<const core::Compositor&>(folded_method) : method;
         const auto t0 = std::chrono::steady_clock::now();
         const core::Ownership owned =
-            frame_method.composite(comm, local, geom.order, counters, engine);
+            resolved.get().composite(comm, local, partition.order, counters, engine);
         img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
         const double wall_ms =
             std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
@@ -429,12 +396,10 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       });
   if (sup.endpoint.kind == mp::Endpoint::Kind::kUnix) (void)::unlink(sup.endpoint.path.c_str());
 
-  // Non-power-of-two ranks composite through the fold extension (see
-  // derive_frame_geometry); results carry the resolved method's name, as
-  // Experiment::run's do.
-  const core::FoldCompositor folded(method);
-  const core::Compositor& resolved =
-      vol::is_power_of_two(ranks) ? method : static_cast<const core::Compositor&>(folded);
+  // Results carry the resolved method's name ("Fold+..." at a
+  // non-power-of-two rank count), as Experiment::run's do.
+  const core::ResolvedMethod resolved_method(method, ranks);
+  const core::Compositor& resolved = resolved_method.get();
 
   SequenceRunResult out;
   out.report.respawns = outcome.respawns;
@@ -466,7 +431,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       // and the parent folds the frame out here in depth order. A survivor
       // that died mid-frame (or whose subimage never arrived) is folded out
       // too — a blank subimage is the over-operator identity.
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
+      const FramePartition partition = partition_frame(dataset, cfg);
       std::vector<bool> lost(static_cast<std::size_t>(ranks), false);
       for (const int r : fo.demoted) {
         if (r >= 0 && r < ranks) lost[static_cast<std::size_t>(r)] = true;
@@ -493,11 +458,11 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
         if (!lost[static_cast<std::size_t>(r)]) continue;
         ft.report.failed_ranks.push_back(r);
         const img::Image sub =
-            render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(r)]);
+            render_one_brick(dataset, cfg, partition.bricks[static_cast<std::size_t>(r)]);
         ft.report.pixels_lost += img::count_non_blank(sub, full);
       }
       ft.result.method = std::string(resolved.name());
-      ft.result.final_image = core::composite_reference(subs, geom.order.front_to_back);
+      ft.result.final_image = core::composite_reference(subs, partition.order.front_to_back);
     } else if (fo.failures.empty()) {
       // Clean full-strength frame: assemble the MethodResult from the
       // shipped reports; frame f is byte-identical to the in-process run of
@@ -525,10 +490,10 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       // Mid-frame deaths at full strength: re-render the frame's subimages
       // here and run the in-frame recovery ladder (mid-frame plan repair
       // from shipped snapshots, else degraded recomposite).
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
+      const FramePartition partition = partition_frame(dataset, cfg);
       std::vector<img::Image> subs;
       subs.reserve(static_cast<std::size_t>(ranks));
-      for (const vol::Brick& brick : geom.bricks) {
+      for (const vol::Brick& brick : partition.bricks) {
         subs.push_back(render_one_brick(dataset, cfg, brick));
       }
       ft.report.faulted = true;
@@ -542,7 +507,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
         ft.report.events.push_back(
             {wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
       }
-      ft = recover_frame(resolved, subs, geom.order, base.cost_model, dec.store,
+      ft = recover_frame(resolved, subs, partition.order, base.cost_model, dec.store,
                          std::move(failed), std::move(ft.report));
     }
 

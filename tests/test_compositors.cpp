@@ -2,15 +2,11 @@
 // parameterized over processor counts, image sparsity, and depth orders.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
@@ -35,19 +31,21 @@ enum class Method {
   kPipeline,
 };
 
-std::unique_ptr<core::Compositor> make(Method m) {
+const core::Compositor& make(Method m) {
+  static const core::BinaryTreeCompositor tree;
+  static const core::ParallelPipelineCompositor pipeline;
   switch (m) {
-    case Method::kBS: return std::make_unique<core::BinarySwapCompositor>();
-    case Method::kBSBR: return std::make_unique<core::BsbrCompositor>();
-    case Method::kBSLC: return std::make_unique<core::BslcCompositor>();
-    case Method::kBSLCNonInterleaved: return std::make_unique<core::BslcCompositor>(false);
-    case Method::kBSBRC: return std::make_unique<core::BsbrcCompositor>();
-    case Method::kBinaryTree: return std::make_unique<core::BinaryTreeCompositor>();
-    case Method::kDirectSendFull: return std::make_unique<core::DirectSendCompositor>(false);
-    case Method::kDirectSendSparse: return std::make_unique<core::DirectSendCompositor>(true);
-    case Method::kPipeline: return std::make_unique<core::ParallelPipelineCompositor>();
+    case Method::kBS: return core::bs();
+    case Method::kBSBR: return core::bsbr();
+    case Method::kBSLC: return core::bslc();
+    case Method::kBSLCNonInterleaved: return core::bslc_noninterleaved();
+    case Method::kBSBRC: return core::bsbrc();
+    case Method::kBinaryTree: return tree;
+    case Method::kDirectSendFull: return core::direct_send_full();
+    case Method::kDirectSendSparse: return core::direct_send_sparse();
+    case Method::kPipeline: return pipeline;
   }
-  return nullptr;
+  throw std::invalid_argument("unknown method");
 }
 
 struct Case {
@@ -57,8 +55,7 @@ struct Case {
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
-  const auto m = make(info.param.method);
-  std::string name(m->name());
+  std::string name(make(info.param.method).name());
   for (char& c : name) {
     if (c == '-' || c == '+') c = '_';
   }
@@ -77,10 +74,10 @@ class CompositorCorrectness : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CompositorCorrectness, MatchesSequentialReference) {
   const Case& c = GetParam();
-  const auto method = make(c.method);
+  const core::Compositor& method = make(c.method);
   const auto subimages = make_subimages(c.ranks, 64, 48, c.density);
   const core::SwapOrder order = make_default_order(vol_levels(c.ranks));
-  const auto result = run_method(*method, subimages, order);
+  const auto result = run_method(method, subimages, order);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
   expect_images_near(result.final_image, reference);
 }
@@ -120,8 +117,8 @@ TEST_P(CompositorOrders, RandomFrontBackBitsStillMatchReference) {
 
   for (const Method m : {Method::kBS, Method::kBSBR, Method::kBSLC, Method::kBSBRC,
                          Method::kBinaryTree, Method::kDirectSendFull, Method::kPipeline}) {
-    const auto method = make(m);
-    const auto result = run_method(*method, subimages, order);
+    const core::Compositor& method = make(m);
+    const auto result = run_method(method, subimages, order);
     expect_images_near(result.final_image, reference);
   }
 }
@@ -134,7 +131,7 @@ TEST(BinarySwap, OverOpsMatchEquationOne) {
   // Eq. (1): each PE composites A/2^k pixels at stage k.
   const int ranks = 8;
   const auto subimages = make_subimages(ranks, 32, 32, 0.5);
-  const auto result = run_method(core::BinarySwapCompositor(), subimages,
+  const auto result = run_method(core::bs(), subimages,
                                  make_default_order(3));
   const std::int64_t a = 32 * 32;
   const std::int64_t expected = a / 2 + a / 4 + a / 8;
@@ -148,7 +145,7 @@ TEST(BinarySwap, MessageBytesMatchEquationTwo) {
   const int ranks = 4;
   const auto subimages = make_subimages(ranks, 32, 32, 0.5);
   const auto result =
-      run_method(core::BinarySwapCompositor(), subimages, make_default_order(2));
+      run_method(core::bs(), subimages, make_default_order(2));
   const std::int64_t a = 32 * 32;
   for (int rank = 0; rank < ranks; ++rank) {
     std::int64_t stage1 = 0, stage2 = 0;
@@ -165,7 +162,7 @@ TEST(BinarySwap, MessageBytesMatchEquationTwo) {
 TEST(Bsbr, BlankImagesSendOnlyRectHeaders) {
   const int ranks = 8;
   std::vector<img::Image> blank(ranks, img::Image(32, 32));
-  const auto result = run_method(core::BsbrCompositor(), blank, make_default_order(3));
+  const auto result = run_method(core::bsbr(), blank, make_default_order(3));
   for (int rank = 0; rank < ranks; ++rank) {
     EXPECT_EQ(result.per_rank[static_cast<std::size_t>(rank)].over_ops, 0);
     for (const auto& rec : result.run.trace().received(rank)) {
@@ -178,8 +175,8 @@ TEST(Bsbr, BlankImagesSendOnlyRectHeaders) {
 TEST(Bsbr, DenseImagesDegradeTowardBinarySwapTraffic) {
   const int ranks = 4;
   const auto subimages = make_subimages(ranks, 32, 32, 0.99);
-  const auto bs = run_method(core::BinarySwapCompositor(), subimages, make_default_order(2));
-  const auto bsbr = run_method(core::BsbrCompositor(), subimages, make_default_order(2));
+  const auto bs = run_method(core::bs(), subimages, make_default_order(2));
+  const auto bsbr = run_method(core::bsbr(), subimages, make_default_order(2));
   const auto bytes = [](const slspvr::testing::SpmdResult& r, int rank) {
     std::uint64_t total = 0;
     for (const auto& rec : r.run.trace().received(rank)) {
@@ -198,7 +195,7 @@ TEST(Bsbr, DenseImagesDegradeTowardBinarySwapTraffic) {
 TEST(Bslc, EncodesExactlyHalfImageEachStage) {
   // Eq. (5): the encoder iterates A/2^k pixels at stage k.
   const auto subimages = make_subimages(8, 32, 32, 0.4);
-  const auto result = run_method(core::BslcCompositor(), subimages, make_default_order(3));
+  const auto result = run_method(core::bslc(), subimages, make_default_order(3));
   const std::int64_t a = 32 * 32;
   for (const auto& counters : result.per_rank) {
     EXPECT_EQ(counters.encoded_pixels, a / 2 + a / 4 + a / 8);
@@ -207,8 +204,8 @@ TEST(Bslc, EncodesExactlyHalfImageEachStage) {
 
 TEST(Bslc, CompositesOnlyNonBlankPixels) {
   const auto subimages = make_subimages(4, 32, 32, 0.1);
-  const auto bs = run_method(core::BinarySwapCompositor(), subimages, make_default_order(2));
-  const auto bslc = run_method(core::BslcCompositor(), subimages, make_default_order(2));
+  const auto bs = run_method(core::bs(), subimages, make_default_order(2));
+  const auto bslc = run_method(core::bslc(), subimages, make_default_order(2));
   for (std::size_t r = 0; r < bslc.per_rank.size(); ++r) {
     EXPECT_LT(bslc.per_rank[r].over_ops, bs.per_rank[r].over_ops);
   }
@@ -218,8 +215,8 @@ TEST(Bsbrc, EncodesOnlyInsideSendingRectangle) {
   // Sparse images: BSBRC's encode work (A_send) must be well below BSLC's
   // full half-image (A/2^k) — the Sec. 3.4 advantage.
   const auto subimages = make_subimages(8, 64, 64, 0.05);
-  const auto bslc = run_method(core::BslcCompositor(), subimages, make_default_order(3));
-  const auto bsbrc = run_method(core::BsbrcCompositor(), subimages, make_default_order(3));
+  const auto bslc = run_method(core::bslc(), subimages, make_default_order(3));
+  const auto bsbrc = run_method(core::bsbrc(), subimages, make_default_order(3));
   std::int64_t bslc_encoded = 0, bsbrc_encoded = 0;
   for (std::size_t r = 0; r < bslc.per_rank.size(); ++r) {
     bslc_encoded += bslc.per_rank[r].encoded_pixels;
@@ -230,7 +227,7 @@ TEST(Bsbrc, EncodesOnlyInsideSendingRectangle) {
 
 TEST(Bsbrc, BlankImagesSendOnlyRectHeaders) {
   std::vector<img::Image> blank(4, img::Image(24, 24));
-  const auto result = run_method(core::BsbrcCompositor(), blank, make_default_order(2));
+  const auto result = run_method(core::bsbrc(), blank, make_default_order(2));
   for (int rank = 0; rank < 4; ++rank) {
     for (const auto& rec : result.run.trace().received(rank)) {
       if (rec.tag >= 0 && rec.stage >= 1) EXPECT_EQ(rec.bytes, 8u);
@@ -255,7 +252,7 @@ TEST(BinaryTree, OnlyRootHoldsResult) {
 TEST(DirectSend, EveryRankSendsNMinusOneMessages) {
   const auto subimages = make_subimages(8, 24, 24, 0.4);
   const auto result =
-      run_method(core::DirectSendCompositor(false), subimages, make_default_order(3));
+      run_method(core::direct_send_full(), subimages, make_default_order(3));
   for (int rank = 0; rank < 8; ++rank) {
     int user_msgs = 0;
     for (const auto& rec : result.run.trace().sent(rank)) {
@@ -268,9 +265,9 @@ TEST(DirectSend, EveryRankSendsNMinusOneMessages) {
 TEST(DirectSend, SparseVariantShipsFewerBytes) {
   const auto subimages = make_subimages(8, 48, 48, 0.08);
   const auto full =
-      run_method(core::DirectSendCompositor(false), subimages, make_default_order(3));
+      run_method(core::direct_send_full(), subimages, make_default_order(3));
   const auto sparse =
-      run_method(core::DirectSendCompositor(true), subimages, make_default_order(3));
+      run_method(core::direct_send_sparse(), subimages, make_default_order(3));
   EXPECT_LT(core::max_received_message_bytes(sparse.run.trace()),
             core::max_received_message_bytes(full.run.trace()));
 }
@@ -310,8 +307,8 @@ TEST(AllMethods, OddImageDimensions) {
   const core::SwapOrder order = make_default_order(3);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
   for (const Method m : {Method::kBS, Method::kBSBR, Method::kBSLC, Method::kBSBRC}) {
-    const auto method = make(m);
-    const auto result = run_method(*method, subimages, order);
+    const core::Compositor& method = make(m);
+    const auto result = run_method(method, subimages, order);
     expect_images_near(result.final_image, reference);
   }
 }
@@ -321,8 +318,8 @@ TEST(AllMethods, SingleRankIsIdentity) {
   const core::SwapOrder order = make_default_order(0);
   for (const Method m : {Method::kBS, Method::kBSBR, Method::kBSLC, Method::kBSBRC,
                          Method::kBinaryTree, Method::kPipeline}) {
-    const auto method = make(m);
-    const auto result = run_method(*method, subimages, order);
+    const core::Compositor& method = make(m);
+    const auto result = run_method(method, subimages, order);
     expect_images_near(result.final_image, subimages[0]);
   }
 }

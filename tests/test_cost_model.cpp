@@ -2,11 +2,8 @@
 // Eq. (9) message-size ordering property across datasets-like workloads.
 #include <gtest/gtest.h>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
 #include "core/cost_model.hpp"
+#include "core/plan_compositor.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
@@ -80,10 +77,10 @@ TEST_P(Equation9, MaxReceivedMessageOrderingHolds) {
   const auto m = [&](const core::Compositor& method) {
     return core::max_received_message_bytes(run_method(method, subimages, order).run.trace());
   };
-  const auto m_bs = m(core::BinarySwapCompositor());
-  const auto m_bsbr = m(core::BsbrCompositor());
-  const auto m_bsbrc = m(core::BsbrcCompositor());
-  const auto m_bslc = m(core::BslcCompositor());
+  const auto m_bs = m(core::bs());
+  const auto m_bsbr = m(core::bsbr());
+  const auto m_bsbrc = m(core::bsbrc());
+  const auto m_bslc = m(core::bslc());
 
   // Eq. (9) holds "in general" (the paper's own words): the guaranteed
   // relations are BS >= BSBR >= BSBRC up to the 8-byte per-stage rectangle

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "mp/fault.hpp"
 #include "pvr/csv.hpp"
 #include "test_helpers.hpp"
@@ -18,7 +18,7 @@ using slspvr::testing::make_subimages;
 TEST(Csv, WritesHeaderAndRows) {
   const auto subimages = make_subimages(4, 24, 24, 0.3, 9);
   const auto order = make_default_order(2);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const auto result = pvr::run_compositing(bsbrc, subimages, order);
 
   pvr::CsvWriter csv;
@@ -54,7 +54,7 @@ TEST(Csv, WritesHeaderAndRows) {
 TEST(Csv, FaultTolerantRowCarriesRetryStats) {
   const auto subimages = make_subimages(4, 24, 24, 0.3, 10);
   const auto order = make_default_order(2);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
 
   slspvr::mp::FaultPlan plan;
   plan.drops.push_back({/*source=*/1, /*dest=*/slspvr::mp::kAnyRankRule,
@@ -104,7 +104,7 @@ TEST(Csv, FieldEscapingFollowsRfc4180) {
 TEST(Csv, CommaInDatasetNameDoesNotSplitColumns) {
   const auto subimages = make_subimages(4, 24, 24, 0.3, 11);
   const auto order = make_default_order(2);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const auto result = pvr::run_compositing(bsbrc, subimages, order);
 
   pvr::CsvWriter csv;

@@ -3,9 +3,8 @@
 // model a sound measurement instrument despite thread scheduling.
 #include <gtest/gtest.h>
 
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "test_helpers.hpp"
 
@@ -19,7 +18,7 @@ using slspvr::testing::run_method;
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const auto subimages = make_subimages(8, 48, 48, 0.3, 12321);
   const auto order = make_default_order(3);
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
 
   const auto a = run_method(bsbrc, subimages, order);
   const auto b = run_method(bsbrc, subimages, order);
@@ -55,7 +54,7 @@ TEST(Determinism, PipelineTrafficIsStableAcrossRuns) {
 TEST(Determinism, ModelTimesReproducible) {
   const auto subimages = make_subimages(4, 40, 40, 0.5, 555);
   const auto order = make_default_order(2);
-  const core::BslcCompositor bslc;
+  const core::Compositor& bslc = core::bslc();
   const auto a = pvr::run_compositing(bslc, subimages, order);
   const auto b = pvr::run_compositing(bslc, subimages, order);
   EXPECT_DOUBLE_EQ(a.times.comp_ms, b.times.comp_ms);

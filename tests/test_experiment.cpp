@@ -3,7 +3,7 @@
 // subimages and the folded non-power-of-two path.
 #include <gtest/gtest.h>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "test_helpers.hpp"
 
@@ -49,7 +49,7 @@ TEST(Experiment, RelatedWorkMethodsMatchReferenceToo) {
 TEST(Experiment, NonPowerOfTwoRanksUseFold) {
   const pvr::Experiment experiment(small_config(vol::DatasetKind::Cube, 6));
   const img::Image reference = experiment.reference();
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   const auto result = experiment.run(bsbrc);
   EXPECT_EQ(result.method, "Fold+BSBRC");
   expect_images_near(result.final_image, reference);
@@ -73,7 +73,7 @@ TEST(Experiment, Equation9HoldsOnRenderedImages) {
 
 TEST(Experiment, ModelTimesArePositiveAndDecomposed) {
   const pvr::Experiment experiment(small_config(vol::DatasetKind::EngineLow, 8));
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   const auto result = experiment.run(bsbrc);
   EXPECT_GT(result.times.comp_ms, 0.0);
   EXPECT_GT(result.times.comm_ms, 0.0);
@@ -91,7 +91,7 @@ TEST(Experiment, BalancedPartitionStillCorrect) {
   config.balanced_partition = true;
   const pvr::Experiment experiment(config);
   const img::Image reference = experiment.reference();
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   expect_images_near(experiment.run(bsbrc).final_image, reference);
 }
 
@@ -104,7 +104,7 @@ TEST(Experiment, SplattingRendererComposites) {
   const pvr::Experiment experiment(config);
   const img::Image reference = experiment.reference();
   ASSERT_GT(img::count_non_blank(reference, reference.bounds()), 0);
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   expect_images_near(experiment.run(bsbrc).final_image, reference);
 }
 
@@ -115,6 +115,6 @@ TEST(Experiment, InvalidRanksThrow) {
 
 TEST(Experiment, WallClockIsMeasured) {
   const pvr::Experiment experiment(small_config(vol::DatasetKind::Cube, 4));
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   EXPECT_GT(experiment.run(bsbrc).wall_ms, 0.0);
 }

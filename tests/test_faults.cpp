@@ -8,10 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
 #include "core/plan.hpp"
 #include "core/plan_compositor.hpp"
 #include "core/reference.hpp"
@@ -36,16 +32,6 @@ namespace {
 
 /// Kill switch for the whole suite: no fault scenario may take this long.
 constexpr auto kBound = std::chrono::seconds(30);
-
-/// The four paper methods under test, freshly constructed per call.
-std::vector<std::unique_ptr<core::Compositor>> paper_methods() {
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BinarySwapCompositor>());
-  methods.push_back(std::make_unique<core::BsbrCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  return methods;
-}
 
 /// Reference frame over the ranks NOT listed in `failed` (depth order kept).
 img::Image survivor_reference(const std::vector<img::Image>& subimages,
@@ -380,7 +366,7 @@ TEST(DegradedMode, KillAnyRankAtAnyStageEveryMethod) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/77);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     for (int victim = 0; victim < ranks; ++victim) {
       for (int stage = 1; stage <= order.levels; ++stage) {
         SCOPED_TRACE(std::string(method->name()) + " kill rank " +
@@ -424,7 +410,7 @@ TEST(DegradedMode, DroppedMessageWithTimeoutDegrades) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/78);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(method->name());
     mp::FaultPlan plan;
     // Lose every message rank 1 sends; the receiver hits the recv deadline.
@@ -462,7 +448,7 @@ TEST(DegradedMode, TruncatedPayloadRaisesDecodeErrorAndDegrades) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/79);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(method->name());
     mp::FaultPlan plan;
     // Truncate one stage-1 message from rank 2: the receiver's decoder must
@@ -502,7 +488,7 @@ TEST(DegradedMode, EmptyPlanMatchesPlainRunExactly) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/80);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(method->name());
     const pvr::MethodResult plain = pvr::run_compositing(*method, subimages, order);
     const pvr::FtMethodResult ft =
@@ -522,7 +508,7 @@ TEST(DegradedMode, AllRanksLostYieldsBlankFrameAndReport) {
 
   mp::FaultPlan plan;
   plan.kills.push_back({mp::kAnyRankRule, 1});  // everybody dies at stage 1
-  const core::BinarySwapCompositor method;
+  const core::Compositor& method = core::bs();
   const pvr::FtMethodResult ft = pvr::run_compositing_ft(method, subimages, order, plan);
 
   EXPECT_TRUE(ft.report.faulted);
@@ -541,7 +527,7 @@ TEST(DegradedMode, ExperimentRunFtEndToEnd) {
 
   mp::FaultPlan plan;
   plan.kills.push_back({/*rank=*/3, /*stage=*/1});
-  const core::BsbrcCompositor method;
+  const core::Compositor& method = core::bsbrc();
   const pvr::FtMethodResult ft = experiment.run_ft(method, plan);
   EXPECT_TRUE(ft.report.faulted);
   // BSBRC exposes a resumable rect plan, so the frame heals mid-frame.
@@ -567,7 +553,7 @@ TEST(TransportHealing, DropsHealByteIdenticalEveryMethod) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/82);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(method->name());
     const pvr::MethodResult clean = pvr::run_compositing(*method, subimages, order);
 
@@ -597,7 +583,7 @@ TEST(TransportHealing, CorruptionHealsByteIdenticalEveryMethod) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/83);
 
-  for (const auto& method : paper_methods()) {
+  for (const auto& method : pvr::MethodSet::paper_methods()) {
     SCOPED_TRACE(method->name());
     const pvr::MethodResult clean = pvr::run_compositing(*method, subimages, order);
 
@@ -625,7 +611,7 @@ TEST(TransportHealing, MixedDropAndCorruptionHeals) {
   const core::SwapOrder order = make_default_order(3);
   const auto subimages = make_subimages(ranks, 40, 32, 0.4, /*seed=*/84);
 
-  const core::BsbrcCompositor method;
+  const core::Compositor& method = core::bsbrc();
   const pvr::MethodResult clean = pvr::run_compositing(method, subimages, order);
 
   mp::FaultPlan plan;
@@ -650,7 +636,7 @@ TEST(TransportHealing, RetryDisabledStillDegrades) {
   const core::SwapOrder order = make_default_order(2);
   const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/85);
 
-  const core::BinarySwapCompositor method;
+  const core::Compositor& method = core::bs();
   mp::FaultPlan plan;
   plan.drops.push_back({/*source=*/1, /*dest=*/mp::kAnyRankRule, /*tag=*/mp::kAnyTagRule,
                         /*stage=*/mp::kAnyStageRule, /*max_count=*/1 << 20});

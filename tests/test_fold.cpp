@@ -2,11 +2,8 @@
 // future-work item) and the gather/ownership machinery.
 #include <gtest/gtest.h>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
 #include "core/fold.hpp"
+#include "core/plan_compositor.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
@@ -56,7 +53,7 @@ TEST_P(FoldCorrectness, MatchesReferenceForAnyRankCount) {
   const auto subimages = make_subimages(ranks, 40, 32, 0.3, 555);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
 
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   const core::FoldCompositor fold(bsbrc);
   const auto result = run_method(fold, subimages, order);
   expect_images_near(result.final_image, reference);
@@ -72,7 +69,7 @@ TEST(Fold, DescendingSlabOrderAlsoWorks) {
   ASSERT_EQ(order.front_to_back.front(), 5);
   const auto subimages = make_subimages(ranks, 32, 32, 0.4, 777);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bs = core::bs();
   const core::FoldCompositor fold(bs);
   const auto result = run_method(fold, subimages, order);
   expect_images_near(result.final_image, reference);
@@ -85,10 +82,10 @@ TEST(Fold, WorksWithEveryInnerMethod) {
   const auto subimages = make_subimages(ranks, 36, 28, 0.25, 31);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
 
-  const core::BinarySwapCompositor bs;
-  const core::BsbrCompositor bsbr;
-  const core::BslcCompositor bslc;
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bs = core::bs();
+  const core::Compositor& bsbr = core::bsbr();
+  const core::Compositor& bslc = core::bslc();
+  const core::Compositor& bsbrc = core::bsbrc();
   for (const core::Compositor* inner :
        {static_cast<const core::Compositor*>(&bs), static_cast<const core::Compositor*>(&bsbr),
         static_cast<const core::Compositor*>(&bslc),
@@ -100,7 +97,7 @@ TEST(Fold, WorksWithEveryInnerMethod) {
 }
 
 TEST(Fold, NameReflectsInnerMethod) {
-  const core::BsbrcCompositor inner;
+  const core::Compositor& inner = core::bsbrc();
   const core::FoldCompositor fold(inner);
   EXPECT_EQ(fold.name(), "Fold+BSBRC");
 }

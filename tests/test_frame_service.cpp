@@ -26,9 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/worker_pool.hpp"
 #include "mp/fault.hpp"
 #include "pvr/experiment.hpp"
@@ -95,8 +93,8 @@ TEST(EngineContext, ScratchFrameTracksRequestedDims) {
 // failed); now each frame threads its own context and both must be
 // byte-identical to their serial references.
 TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
-  const core::BsbrcCompositor bsbrc;
-  const core::BslcCompositor bslc;
+  const core::Compositor& bsbrc = core::bsbrc();
+  const core::Compositor& bslc = core::bslc();
   const auto order = make_default_order(2);
   const auto subimages_a = make_subimages(4, 96, 80, 0.4, 101);
   const auto subimages_b = make_subimages(4, 64, 56, 0.5, 202);
@@ -145,7 +143,7 @@ TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
 // 384^2 budget, and a later 384^2 frame through the same (trimmed) arena
 // must still be byte-identical to one through a fresh arena.
 TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   const auto order = make_default_order(1);
   const auto big = make_subimages(2, 768, 768, 0.35, 7);
   const auto small = make_subimages(2, 384, 384, 0.35, 8);
@@ -202,9 +200,9 @@ img::Image serial_reference(const pvr::SessionConfig& session, const core::Compo
 }  // namespace
 
 TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
-  const core::BsbrcCompositor bsbrc;
-  const core::BslcCompositor bslc;
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bsbrc = core::bsbrc();
+  const core::Compositor& bslc = core::bslc();
+  const core::Compositor& bs = core::bs();
   const core::Compositor* methods[] = {&bsbrc, &bslc, &bs};
   const vol::DatasetKind datasets[] = {vol::DatasetKind::Cube, vol::DatasetKind::Head,
                                        vol::DatasetKind::EngineLow};
@@ -264,7 +262,7 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
 }
 
 TEST(FrameService, RejectNewBouncesWhenTheQueueIsFull) {
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   pvr::FrameServiceConfig service_config;
   service_config.max_in_flight = 1;
   service_config.queue_depth = 1;
@@ -311,9 +309,9 @@ TEST(FrameService, RejectNewBouncesWhenTheQueueIsFull) {
 // reference. No wall-clock bound applies; the per-test TIMEOUT is the hang
 // gate.
 TEST(FrameService, ShedOldestResolvesVictimFuturesAndAdmitsTheNew) {
-  const core::BsbrcCompositor bsbrc;
-  const core::BslcCompositor bslc;
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bsbrc = core::bsbrc();
+  const core::Compositor& bslc = core::bslc();
+  const core::Compositor& bs = core::bs();
   const core::Compositor* methods[] = {&bsbrc, &bslc, &bs};
   const vol::DatasetKind datasets[] = {vol::DatasetKind::Cube, vol::DatasetKind::Head,
                                        vol::DatasetKind::EngineLow};
@@ -388,7 +386,7 @@ TEST(FrameService, ShedOldestResolvesVictimFuturesAndAdmitsTheNew) {
 // reference), and the clean sessions' frames must be byte-identical to
 // their fault-free references.
 TEST(FrameService, FaultInOneSessionLeavesTheOthersByteIdentical) {
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   pvr::FrameServiceConfig service_config;
   service_config.max_in_flight = 2;
   service_config.queue_depth = 8;
@@ -450,7 +448,7 @@ TEST(FrameService, CameraMovesRenderFromTheSessionsVolume) {
   // Every request moves the camera, so every frame re-renders its subimages
   // from the volume the session generated on its first frame. Each frame
   // must equal a fresh Experiment(config).run of its own view.
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   pvr::FrameService service;
   const pvr::SessionConfig config = small_session("orbit", vol::DatasetKind::Head);
   const int id = service.add_session(config, bsbrc);
@@ -474,5 +472,59 @@ TEST(FrameService, CameraMovesRenderFromTheSessionsVolume) {
     EXPECT_FALSE(frame.report.faulted);
     expect_bytes_identical(frame.image,
                            serial_reference(config, bsbrc, views[k].first, views[k].second));
+  }
+}
+
+// The service's fold decision: sessions at 3 and 6 ranks run their method
+// inside the fold extension over slab bricks, and each frame must equal a
+// fresh Experiment(config).run of its own view, byte for byte.
+TEST(FrameService, NonPowerOfTwoRankSessionsFoldLikeExperiment) {
+  pvr::FrameServiceConfig service_config;
+  service_config.max_in_flight = 2;
+  service_config.queue_depth = 8;
+  pvr::FrameService service(service_config);
+
+  struct Session {
+    int id;
+    pvr::SessionConfig config;
+    const core::Compositor* method;
+  };
+  std::vector<Session> sessions;
+  for (const int ranks : {3, 6}) {
+    for (const core::Compositor* method : {&core::bsbrc(), &core::bslc()}) {
+      pvr::SessionConfig config = small_session(
+          std::string(method->name()) + "@" + std::to_string(ranks), vol::DatasetKind::Head);
+      config.ranks = ranks;
+      sessions.push_back({service.add_session(config, *method), config, method});
+    }
+  }
+
+  const std::pair<float, float> views[] = {{18.0f, 24.0f}, {-30.0f, 200.0f}, {40.0f, 75.0f}};
+  struct Pending {
+    const Session* session;
+    std::pair<float, float> view;
+    std::future<pvr::FrameResult> future;
+  };
+  std::vector<Pending> pending;
+  for (const auto& view : views) {
+    for (const Session& session : sessions) {
+      pvr::FrameRequest request;
+      request.rot_x_deg = view.first;
+      request.rot_y_deg = view.second;
+      auto future = service.submit(session.id, request);
+      ASSERT_TRUE(future.has_value());
+      pending.push_back({&session, view, std::move(*future)});
+    }
+  }
+  service.drain();
+
+  for (Pending& p : pending) {
+    SCOPED_TRACE(p.session->config.name + " view " + std::to_string(p.view.first) + "," +
+                 std::to_string(p.view.second));
+    pvr::FrameResult frame = p.future.get();
+    ASSERT_EQ(frame.status, pvr::FrameStatus::kDone);
+    EXPECT_FALSE(frame.report.faulted);
+    expect_bytes_identical(frame.image, serial_reference(p.session->config, *p.session->method,
+                                                         p.view.first, p.view.second));
   }
 }

@@ -3,8 +3,7 @@
 // harness's option interplay.
 #include <gtest/gtest.h>
 
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
+#include "core/plan_compositor.hpp"
 #include "pvr/experiment.hpp"
 #include "test_helpers.hpp"
 
@@ -32,7 +31,7 @@ TEST(IntegrationMore, DistributedPartitioningWithNonPowerOfTwoFold) {
   config.distributed_partitioning = true;
   const pvr::Experiment experiment(config);
   EXPECT_GT(experiment.total_partition_bytes(), 0u);
-  const core::BsbrsCompositor bsbrs;
+  const core::Compositor& bsbrs = core::bsbrs();
   const auto result = experiment.run(bsbrs);
   EXPECT_EQ(result.method, "Fold+BSBRS");
   expect_images_near(result.final_image, experiment.reference());
@@ -53,11 +52,11 @@ TEST(IntegrationMore, SplattingWorksWithEveryProposedMethod) {
 TEST(IntegrationMore, BsbrsOnRenderedWorkloads) {
   for (const auto kind : {vol::DatasetKind::EngineHigh, vol::DatasetKind::Head}) {
     const pvr::Experiment experiment(tiny(kind, 8));
-    const core::BsbrsCompositor bsbrs;
+    const core::Compositor& bsbrs = core::bsbrs();
     const auto result = experiment.run(bsbrs);
     expect_images_near(result.final_image, experiment.reference());
     // Span payloads stay within headers of BSBRC's (measured equivalence).
-    const core::BsbrcCompositor bsbrc;
+    const core::Compositor& bsbrc = core::bsbrc();
     const auto rc = experiment.run(bsbrc);
     EXPECT_LT(static_cast<double>(result.m_max),
               static_cast<double>(rc.m_max) * 1.2 + 512)
@@ -70,7 +69,7 @@ TEST(IntegrationMore, BalancedPartitionComposesWithDistribution) {
   config.balanced_partition = true;
   config.distributed_partitioning = true;
   const pvr::Experiment experiment(config);
-  const core::BsbrsCompositor bsbrs;
+  const core::Compositor& bsbrs = core::bsbrs();
   expect_images_near(experiment.run(bsbrs).final_image, experiment.reference());
 }
 
@@ -90,7 +89,7 @@ TEST(IntegrationMore, UserDatasetHonoursAllOptions) {
 
 TEST(IntegrationMore, RanksOneDegeneratesGracefully) {
   const pvr::Experiment experiment(tiny(vol::DatasetKind::Head, 1));
-  const core::BsbrsCompositor bsbrs;
+  const core::Compositor& bsbrs = core::bsbrs();
   const auto result = experiment.run(bsbrs);
   expect_images_near(result.final_image, experiment.subimages()[0]);
   EXPECT_EQ(result.m_max, 0u);

@@ -2,14 +2,9 @@
 // payload dominance relations that must hold for ANY workload.
 #include <gtest/gtest.h>
 
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
@@ -40,14 +35,14 @@ TEST(Invariants, EveryMethodConservesBytesGlobally) {
   const auto subimages = make_subimages(8, 48, 40, 0.3, 2024);
   const auto order = make_default_order(3);
 
-  const core::BinarySwapCompositor bs;
-  const core::BsbrCompositor bsbr;
-  const core::BslcCompositor bslc;
-  const core::BsbrcCompositor bsbrc;
-  const core::BsbrsCompositor bsbrs;
+  const core::Compositor& bs = core::bs();
+  const core::Compositor& bsbr = core::bsbr();
+  const core::Compositor& bslc = core::bslc();
+  const core::Compositor& bsbrc = core::bsbrc();
+  const core::Compositor& bsbrs = core::bsbrs();
   const core::BinaryTreeCompositor tree;
-  const core::DirectSendCompositor direct_full(false);
-  const core::DirectSendCompositor direct_sparse(true);
+  const core::Compositor& direct_full = core::direct_send_full();
+  const core::Compositor& direct_sparse = core::direct_send_sparse();
   const core::ParallelPipelineCompositor pipeline;
 
   for (const core::Compositor* method :
@@ -81,8 +76,8 @@ TEST(Invariants, BinarySwapFamilyOwnershipsTileTheImage) {
   const auto order = make_default_order(3);
 
   for (const bool use_bsbrc : {false, true}) {
-    const core::BinarySwapCompositor bs;
-    const core::BsbrcCompositor bsbrc;
+    const core::Compositor& bs = core::bs();
+    const core::Compositor& bsbrc = core::bsbrc();
     const core::Compositor& method =
         use_bsbrc ? static_cast<const core::Compositor&>(bsbrc)
                   : static_cast<const core::Compositor&>(bs);
@@ -103,7 +98,7 @@ TEST(Invariants, BinarySwapFamilyOwnershipsTileTheImage) {
 TEST(Invariants, BslcOwnershipsTileTheIndexSpace) {
   const int width = 41, height = 17;
   const auto subimages = make_subimages(16, width, height, 0.4, 556);
-  const auto result = run_method(core::BslcCompositor(), subimages, make_default_order(4));
+  const auto result = run_method(core::bslc(), subimages, make_default_order(4));
   std::vector<int> hits(static_cast<std::size_t>(width * height), 0);
   for (const auto& owned : result.ownerships) {
     ASSERT_EQ(owned.kind, core::Ownership::Kind::kInterleaved);
@@ -119,7 +114,7 @@ TEST(Invariants, PipelineAndDirectSendBandsTile) {
   const auto subimages = make_subimages(8, width, height, 0.4, 557);
   const auto order = make_default_order(3);
   for (const bool pipeline : {false, true}) {
-    const core::DirectSendCompositor direct(false);
+    const core::Compositor& direct = core::direct_send_full();
     const core::ParallelPipelineCompositor pipe;
     const core::Compositor& method =
         pipeline ? static_cast<const core::Compositor&>(pipe)
@@ -146,8 +141,8 @@ TEST(Invariants, RlePayloadNeverExceedsRawRectangle) {
     const auto subimages =
         make_subimages(8, 64, 64, density, static_cast<std::uint32_t>(density * 1000));
     const auto order = make_default_order(3);
-    const auto bsbr = run_method(core::BsbrCompositor(), subimages, order);
-    const auto bsbrc = run_method(core::BsbrcCompositor(), subimages, order);
+    const auto bsbr = run_method(core::bsbr(), subimages, order);
+    const auto bsbrc = run_method(core::bsbrc(), subimages, order);
     for (int r = 0; r < 8; ++r) {
       std::uint64_t bsbr_bytes = 0, bsbrc_bytes = 0;
       for (const auto& rec : bsbr.run.trace().received(r)) {
@@ -168,7 +163,7 @@ TEST(Invariants, RlePayloadNeverExceedsRawRectangle) {
 TEST(Invariants, CountersAreNonNegativeAndConsistent) {
   const auto subimages = make_subimages(4, 32, 32, 0.5, 31337);
   const auto order = make_default_order(2);
-  const auto result = run_method(core::BsbrcCompositor(), subimages, order);
+  const auto result = run_method(core::bsbrc(), subimages, order);
   for (const auto& c : result.per_rank) {
     EXPECT_GE(c.over_ops, 0);
     EXPECT_GE(c.encoded_pixels, 0);

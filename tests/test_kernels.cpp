@@ -8,7 +8,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -305,8 +304,7 @@ TEST(Kernels, CompositeRegionHandlesDegenerateRects) {
 }
 
 /// Whole-frame byte identity: every method, both dispatch settings.
-void expect_methods_identical(
-    const std::vector<std::unique_ptr<core::Compositor>>& methods, int ranks) {
+void expect_methods_identical(const std::vector<const core::Compositor*>& methods, int ranks) {
   const int levels = std::countr_zero(static_cast<unsigned>(ranks));
   const auto subimages = pvr::make_subimages(ranks, 96, 96, 0.35);
   const auto order = core::make_uniform_order(levels);

@@ -7,9 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/binary_swap.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bslc.hpp"
+#include "core/plan_compositor.hpp"
 #include "image/image_io.hpp"
 #include "test_helpers.hpp"
 
@@ -25,8 +23,8 @@ TEST(LargeP, SixtyFourRanksMatchReference) {
   const auto order = make_default_order(6);
   const img::Image reference = core::composite_reference(subimages, order.front_to_back);
   for (const bool bsbrc : {false, true}) {
-    const core::BinarySwapCompositor bs;
-    const core::BsbrcCompositor brc;
+    const core::Compositor& bs = core::bs();
+    const core::Compositor& brc = core::bsbrc();
     const core::Compositor& method = bsbrc ? static_cast<const core::Compositor&>(brc)
                                            : static_cast<const core::Compositor&>(bs);
     const auto result = run_method(method, subimages, order);
@@ -37,7 +35,7 @@ TEST(LargeP, SixtyFourRanksMatchReference) {
 TEST(LargeP, ThirtyTwoRanksBslc) {
   const auto subimages = make_subimages(32, 40, 24, 0.35, 888);
   const auto order = make_default_order(5);
-  const auto result = run_method(core::BslcCompositor(), subimages, order);
+  const auto result = run_method(core::bslc(), subimages, order);
   expect_images_near(result.final_image,
                      core::composite_reference(subimages, order.front_to_back));
 }
@@ -48,7 +46,7 @@ TEST(LargeP, BinarySwapTotalsFollowTheClosedForm) {
   const int a = 32 * 32;
   const auto subimages = make_subimages(64, 32, 32, 0.5, 777);
   const auto result =
-      run_method(core::BinarySwapCompositor(), subimages, make_default_order(6));
+      run_method(core::bs(), subimages, make_default_order(6));
   for (const auto& counters : result.per_rank) {
     EXPECT_EQ(counters.over_ops, a - a / 64);
   }

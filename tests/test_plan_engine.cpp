@@ -4,7 +4,6 @@
 // dynamic verification of the cross-bred combinations at non-power-of-two P.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <vector>
 

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/reference.hpp"
 #include "mp/errors.hpp"
 #include "mp/socket.hpp"
@@ -295,7 +295,7 @@ TEST(Procs, EveryPaperMethodIsByteIdenticalToInProcess) {
 
 TEST(Procs, TcpLoopbackMatchesToo) {
   const pvr::Experiment experiment(small_config(4));
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::MethodResult in_process = experiment.run(bsbrc);
   const pvr::FtMethodResult procs = run_one_frame(bsbrc, small_config(4), seq_opts(1, "tcp"));
   EXPECT_FALSE(procs.report.faulted);
@@ -304,10 +304,11 @@ TEST(Procs, TcpLoopbackMatchesToo) {
 
 TEST(Procs, NonPowerOfTwoRanksFoldAcrossProcesses) {
   const pvr::Experiment experiment(small_config(3));
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::MethodResult in_process = experiment.run(bsbrc);
   const pvr::FtMethodResult procs = run_one_frame(bsbrc, small_config(3), seq_opts(1));
   EXPECT_FALSE(procs.report.faulted);
+  EXPECT_EQ(procs.result.method, "Fold+BSBRC");
   expect_images_identical(procs.result.final_image, in_process.final_image);
 }
 
@@ -324,7 +325,7 @@ pvr::SequenceProcOptions one_frame_crash(pvr::ProcCrash crash) {
 }  // namespace
 
 TEST(ProcsChaos, SigkillMidFrameFinishesFromSurvivors) {
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::FtMethodResult ft = run_one_frame(
       bsbrc, small_config(4),
       one_frame_crash({/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill}));
@@ -341,7 +342,7 @@ TEST(ProcsChaos, SigkillMidFrameFinishesFromSurvivors) {
 }
 
 TEST(ProcsChaos, SigstopIsCaughtByTheHeartbeatWatchdog) {
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::SequenceProcOptions opts =
       one_frame_crash({/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kSigstop});
   opts.proc.heartbeat_interval = std::chrono::milliseconds{20};
@@ -357,7 +358,7 @@ TEST(ProcsChaos, SigstopIsCaughtByTheHeartbeatWatchdog) {
 }
 
 TEST(ProcsChaos, SigsegvProvenanceIsHumanReadable) {
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::FtMethodResult ft = run_one_frame(
       bsbrc, small_config(4),
       one_frame_crash({/*rank=*/3, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv}));
@@ -370,7 +371,7 @@ TEST(ProcsChaos, SigsegvProvenanceIsHumanReadable) {
 }
 
 TEST(ProcsChaos, NonzeroExitProvenanceIsHumanReadable) {
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::ProcCrash crash;
   crash.rank = 1;
   crash.stage = 1;
@@ -418,7 +419,7 @@ TEST(Connect, BackoffDelayIsBoundedDeterministicAndJittered) {
 TEST(Sequence, CleanFramesAreByteIdenticalToInProcess) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::SequenceProcOptions opts = seq_opts(3);
 
   const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);
@@ -447,7 +448,7 @@ void run_large_frames(const std::string& transport) {
   pvr::ExperimentConfig base = small_config(4);
   base.image_size = 384;
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   const pvr::SequenceProcOptions opts = seq_opts(2, transport);
 
   const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);
@@ -478,7 +479,7 @@ namespace {
 void run_kill_each_rank_once(const std::string& transport) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::SequenceProcOptions opts = seq_opts(10, transport);
   opts.crashes = {
       pvr::ProcCrash{/*rank=*/0, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/2},
@@ -523,7 +524,7 @@ TEST(SequenceChaos, KillEachRankOnceTcp) { run_kill_each_rank_once("tcp"); }
 TEST(SequenceChaos, SameRankDiesTwiceAndComesBackTwice) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::SequenceProcOptions opts = seq_opts(5);
   opts.crashes = {
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1},
@@ -553,7 +554,7 @@ TEST(SequenceChaos, SameRankDiesTwiceAndComesBackTwice) {
 TEST(SequenceChaos, AggregateSummaryNamesTheRepairEpochNeverMinusOne) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::SequenceProcOptions opts = seq_opts(3);
   opts.crashes = {
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1}};
@@ -584,7 +585,7 @@ TEST(SequenceChaos, AggregateSummaryNamesTheRepairEpochNeverMinusOne) {
 TEST(SequenceChaos, RespawnBudgetExhaustionDemotesForGood) {
   const pvr::ExperimentConfig base = small_config(4);
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
-  const slspvr::core::BsbrcCompositor bsbrc;
+  const slspvr::core::Compositor& bsbrc = slspvr::core::bsbrc();
   pvr::SequenceProcOptions opts = seq_opts(4);
   opts.respawn.max_respawns_per_rank = 0;  // circuit breaker opens immediately
   opts.crashes = {

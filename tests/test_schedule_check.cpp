@@ -10,15 +10,10 @@
 
 #include "check/trace_check.hpp"
 #include "check/verify.hpp"
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
 #include "core/fold.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "test_helpers.hpp"
 
 namespace slspvr {
@@ -40,21 +35,16 @@ int log2_exact(int n) {
 
 /// Every compositor the system ships, for schedule emission.
 struct AllMethods {
-  core::BinarySwapCompositor bs;
-  core::BsbrCompositor bsbr;
-  core::BslcCompositor bslc;
-  core::BsbrcCompositor bsbrc;
-  core::BsbrsCompositor bsbrs;
-  core::DirectSendCompositor ds_full{false};
-  core::DirectSendCompositor ds_sparse{true};
   core::BinaryTreeCompositor tree;
   core::ParallelPipelineCompositor pipeline;
 
   [[nodiscard]] std::vector<const core::Compositor*> pow2_methods() const {
-    return {&bs, &bsbr, &bslc, &bsbrc, &bsbrs, &ds_full, &ds_sparse, &tree, &pipeline};
+    return {&core::bs(),    &core::bsbr(),  &core::bslc(),
+            &core::bsbrc(), &core::bsbrs(), &core::direct_send_full(),
+            &core::direct_send_sparse(), &tree, &pipeline};
   }
   [[nodiscard]] std::vector<const core::Compositor*> swap_family() const {
-    return {&bs, &bsbr, &bslc, &bsbrc, &bsbrs};
+    return {&core::bs(), &core::bsbr(), &core::bslc(), &core::bsbrc(), &core::bsbrs()};
   }
 };
 
@@ -88,14 +78,14 @@ TEST(ScheduleVerify, FoldWrapsEveryFamilyMethodAtNonPow2RankCounts) {
 }
 
 TEST(ScheduleVerify, SwapFamilyNeedsPow2WithoutFold) {
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bs = core::bs();
   EXPECT_THROW((void)bs.schedule(6), std::invalid_argument);
 }
 
 // ---- seeded defects: each defect class must be rejected precisely ---------
 
 TEST(ScheduleVerify, DroppedRecvIsAnUnmatchedSend) {
-  CommSchedule schedule = core::BsbrcCompositor().schedule(8);
+  CommSchedule schedule = core::bsbrc().schedule(8);
   // Rank 5 forgets the stage-2 receive from its partner 7.
   auto& events = schedule.per_rank[5];
   const auto dropped =
@@ -139,7 +129,7 @@ TEST(ScheduleVerify, InnerStageReusingTheGatherTagCollides) {
   // retagged to the gather tag puts two messages on channel 1 -> 0 tag 900 —
   // the stage-1 payload and 1's gathered piece — with no causal edge forcing
   // rank 0 to consume the first before the second is deposited.
-  const core::BinarySwapCompositor inner;
+  const core::Compositor& inner = core::bs();
   const core::FoldCompositor fold(inner);
   CommSchedule schedule = fold.schedule(3);
   check::append_final_gather(schedule);
@@ -195,7 +185,7 @@ TEST(ScheduleVerify, SelfMessageAndReservedTagAreBadEvents) {
 }
 
 TEST(ScheduleVerify, BrokenStageSymmetryIsAnAsymmetry) {
-  CommSchedule schedule = core::BinarySwapCompositor().schedule(4);
+  CommSchedule schedule = core::bs().schedule(4);
   // Rank 2 redirects its stage-1 send to rank 1 instead of its partner 3;
   // rank 1 accepts it so matching stays balanced, but the stage's perfect
   // pairing is broken.
@@ -214,20 +204,18 @@ TEST(ScheduleVerify, BrokenStageSymmetryIsAnAsymmetry) {
 // ---- Eq. (9) --------------------------------------------------------------
 
 TEST(ScheduleVerify, Eq9OrderingHoldsAtEveryPow2RankCount) {
-  const AllMethods m;
   for (const int p : {2, 4, 8, 16, 32, 64}) {
-    const auto report = check::verify_eq9(m.bs.schedule(p), m.bsbr.schedule(p),
-                                          m.bsbrc.schedule(p), m.bslc.schedule(p));
+    const auto report = check::verify_eq9(core::bs().schedule(p), core::bsbr().schedule(p),
+                                          core::bsbrc().schedule(p), core::bslc().schedule(p));
     EXPECT_TRUE(report.holds) << "P=" << p << "\n" << report.detail;
   }
 }
 
 TEST(ScheduleVerify, Eq9ViolationIsDetected) {
-  const AllMethods m;
   // BSLC's non-blank payload cannot dominate BS's full region: reversing the
   // chain must be rejected.
-  const auto report = check::verify_eq9(m.bslc.schedule(8), m.bsbrc.schedule(8),
-                                        m.bsbr.schedule(8), m.bs.schedule(8));
+  const auto report = check::verify_eq9(core::bslc().schedule(8), core::bsbrc().schedule(8),
+                                        core::bsbr().schedule(8), core::bs().schedule(8));
   EXPECT_FALSE(report.holds);
   EXPECT_NE(report.detail.find("VIOLATION"), std::string::npos) << report.detail;
 }
@@ -263,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(Pow2, TraceConformance, ::testing::Values(2, 4, 8));
 TEST(TraceConformanceFold, NonPow2RunMatchesFoldSchedule) {
   const int ranks = 6;
   const int width = 32, height = 24;
-  const core::BsbrcCompositor inner;
+  const core::Compositor& inner = core::bsbrc();
   const core::FoldCompositor fold(inner);
   const auto subimages = make_subimages(ranks, width, height, /*density=*/0.4, /*seed=*/11);
   const float view_dir[3] = {0.0f, 0.0f, 1.0f};
@@ -281,7 +269,7 @@ TEST(TraceConformanceFold, NonPow2RunMatchesFoldSchedule) {
 }
 
 TEST(TraceDynamic, SeqAndEventIndexAreMonotonic) {
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bs = core::bs();
   const auto subimages = make_subimages(4, 16, 16, /*density=*/0.5, /*seed=*/3);
   const auto result = run_method(bs, subimages, make_default_order(2));
   const mp::TrafficTrace& trace = result.run.trace();
@@ -326,7 +314,7 @@ TEST(TraceDynamic, DeviatingRunIsNonConformant) {
   // Run BS but check it against BSBR's schedule wire-format bounds: the
   // event shapes match (same pattern), but BS's raw half-frame payloads
   // exceed nothing — instead check against a schedule whose peers differ.
-  const core::BinarySwapCompositor bs;
+  const core::Compositor& bs = core::bs();
   const auto subimages = make_subimages(4, 16, 16, /*density=*/0.5, /*seed=*/5);
   const auto result = run_method(bs, subimages, make_default_order(2));
   CommSchedule wrong = core::ParallelPipelineCompositor().schedule(4);

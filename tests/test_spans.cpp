@@ -2,8 +2,7 @@
 // BSBRC-tight compositor variants built on it.
 #include <gtest/gtest.h>
 
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/wire.hpp"
 #include "image/spans.hpp"
 #include "test_helpers.hpp"
@@ -143,7 +142,7 @@ TEST_P(SpanCompositors, BsbrsMatchesReference) {
   while ((1 << levels) < ranks) ++levels;
   const auto subimages = make_subimages(ranks, 48, 40, density, 808);
   const auto order = make_default_order(levels);
-  const auto result = run_method(core::BsbrsCompositor(), subimages, order);
+  const auto result = run_method(core::bsbrs(), subimages, order);
   expect_images_near(result.final_image,
                      core::composite_reference(subimages, order.front_to_back));
 }
@@ -156,7 +155,7 @@ TEST(SpanCompositors, BsbrcTightRescanMatchesReference) {
   const auto subimages = make_subimages(8, 40, 40, 0.3, 909);
   const auto order = make_order(3, {true, false, true});
   const auto reference = core::composite_reference(subimages, order.front_to_back);
-  const auto result = run_method(core::BsbrcCompositor(true), subimages, order);
+  const auto result = run_method(core::bsbrc_tight(), subimages, order);
   expect_images_near(result.final_image, reference);
 }
 
@@ -165,8 +164,8 @@ TEST(SpanCompositors, TightRescanNeverShipsMoreBytes) {
   // per-rank payloads can only shrink (scan cost grows instead).
   const auto subimages = make_subimages(8, 64, 64, 0.15, 606);
   const auto order = make_default_order(3);
-  const auto loose = run_method(core::BsbrcCompositor(false), subimages, order);
-  const auto tight = run_method(core::BsbrcCompositor(true), subimages, order);
+  const auto loose = run_method(core::bsbrc(), subimages, order);
+  const auto tight = run_method(core::bsbrc_tight(), subimages, order);
   EXPECT_LE(core::max_received_message_bytes(tight.run.trace()),
             core::max_received_message_bytes(loose.run.trace()));
   std::int64_t loose_scan = 0, tight_scan = 0;
@@ -179,7 +178,7 @@ TEST(SpanCompositors, TightRescanNeverShipsMoreBytes) {
 
 TEST(SpanCompositors, BsbrsBlankImagesSendHeadersOnly) {
   std::vector<img::Image> blank(4, img::Image(24, 24));
-  const auto result = run_method(core::BsbrsCompositor(), blank, make_default_order(2));
+  const auto result = run_method(core::bsbrs(), blank, make_default_order(2));
   for (int rank = 0; rank < 4; ++rank) {
     for (const auto& rec : result.run.trace().received(rank)) {
       if (rec.tag >= 0 && rec.stage >= 1) EXPECT_EQ(rec.bytes, 8u);

@@ -14,20 +14,14 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
 #include "core/codec.hpp"
-#include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/wire.hpp"
 #include "core/worker_pool.hpp"
 #include "test_helpers.hpp"
@@ -277,18 +271,21 @@ TEST(StreamingDecode, RunsStraddleKMaxRunAndBandBoundaries) {
 TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkers) {
   struct MethodCase {
     std::string name;
-    std::unique_ptr<core::Compositor> method;
+    const core::Compositor* method;
   };
-  std::vector<MethodCase> methods;
-  methods.push_back({"BS", std::make_unique<core::BinarySwapCompositor>()});
-  methods.push_back({"BSBR", std::make_unique<core::BsbrCompositor>()});
-  methods.push_back({"BSBRC", std::make_unique<core::BsbrcCompositor>()});
-  methods.push_back({"BSBRS", std::make_unique<core::BsbrsCompositor>()});
-  methods.push_back({"BSLC", std::make_unique<core::BslcCompositor>()});
-  methods.push_back({"BSLC-contig", std::make_unique<core::BslcCompositor>(false)});
-  methods.push_back({"BinaryTree", std::make_unique<core::BinaryTreeCompositor>()});
-  methods.push_back({"DirectSend-sparse", std::make_unique<core::DirectSendCompositor>(true)});
-  methods.push_back({"Pipeline", std::make_unique<core::ParallelPipelineCompositor>()});
+  const core::BinaryTreeCompositor tree;
+  const core::ParallelPipelineCompositor pipeline;
+  const std::vector<MethodCase> methods = {
+      {"BS", &core::bs()},
+      {"BSBR", &core::bsbr()},
+      {"BSBRC", &core::bsbrc()},
+      {"BSBRS", &core::bsbrs()},
+      {"BSLC", &core::bslc()},
+      {"BSLC-contig", &core::bslc_noninterleaved()},
+      {"BinaryTree", &tree},
+      {"DirectSend-sparse", &core::direct_send_sparse()},
+      {"Pipeline", &pipeline},
+  };
 
 
   for (const MethodCase& mc : methods) {

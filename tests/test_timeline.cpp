@@ -1,9 +1,7 @@
 // Tests for per-stage counter snapshots and the staged timeline model.
 #include <gtest/gtest.h>
 
-#include "core/binary_swap.hpp"
-#include "core/bslc.hpp"
-#include "core/bsbrc.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/timeline.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/synthetic.hpp"
@@ -18,7 +16,7 @@ using slspvr::testing::run_method;
 
 TEST(StageMarks, DeltasPartitionTheTotals) {
   const auto subimages = make_subimages(8, 40, 40, 0.3, 77);
-  const auto result = run_method(core::BsbrcCompositor(), subimages, make_default_order(3));
+  const auto result = run_method(core::bsbrc(), subimages, make_default_order(3));
   for (const auto& c : result.per_rank) {
     EXPECT_EQ(c.marked_stages(), 3);
     core::OpTotals sum;
@@ -52,7 +50,7 @@ TEST(Timeline, BinarySwapFirstStageDominates) {
   // equals the additive per-rank time (no wait) up to float rounding.
   const auto subimages = make_subimages(8, 64, 64, 0.5, 11);
   const auto order = make_default_order(3);
-  const auto result = run_method(core::BinarySwapCompositor(), subimages, order);
+  const auto result = run_method(core::bs(), subimages, order);
   const core::CostModel model = core::CostModel::sp2();
   const auto timeline =
       core::simulate_timeline(result.per_rank, result.run.trace(), model);
@@ -87,8 +85,8 @@ TEST(Timeline, SkewedWorkloadCreatesWaitWithoutInterleaving) {
   const auto order = make_default_order(3);
   const core::CostModel model = core::CostModel::sp2();
 
-  const auto inter = run_method(core::BslcCompositor(true), subimages, order);
-  const auto contig = run_method(core::BslcCompositor(false), subimages, order);
+  const auto inter = run_method(core::bslc(), subimages, order);
+  const auto contig = run_method(core::bslc_noninterleaved(), subimages, order);
   const auto t_inter = core::simulate_timeline(inter.per_rank, inter.run.trace(), model);
   const auto t_contig = core::simulate_timeline(contig.per_rank, contig.run.trace(), model);
 
@@ -103,7 +101,7 @@ TEST(Timeline, ExposedThroughMethodResult) {
   config.image_size = 48;
   config.ranks = 8;
   const pvr::Experiment experiment(config);
-  const core::BsbrcCompositor bsbrc;
+  const core::Compositor& bsbrc = core::bsbrc();
   const auto result = experiment.run(bsbrc);
   EXPECT_GT(result.timeline.makespan_ms, 0.0);
   EXPECT_EQ(result.timeline.rank_finish_ms.size(), 8u);

@@ -18,26 +18,19 @@
 #include <vector>
 
 #include "check/verify.hpp"
-#include "core/binary_swap.hpp"
-#include "core/codec.hpp"
-#include "core/plan.hpp"
+#include "cli_parse.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
+#include "core/codec.hpp"
 #include "core/fold.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan.hpp"
 #include "core/plan_compositor.hpp"
-#include "render_cli.hpp"
 
 namespace {
 
 using slspvr::check::CommSchedule;
 using slspvr::check::VerifyResult;
-
-[[nodiscard]] bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
+using slspvr::vol::is_power_of_two;
 
 struct MethodEntry {
   const slspvr::core::Compositor* direct;  ///< used at power-of-two P
@@ -154,19 +147,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const BinarySwapCompositor bs;
-  const BsbrCompositor bsbr;
-  const BslcCompositor bslc;
-  const BslcCompositor bslc_flat(false);
-  const BsbrcCompositor bsbrc;
-  const BsbrcCompositor bsbrc_tight(true);
-  const BsbrsCompositor bsbrs;
-  const DirectSendCompositor ds_full(false);
-  const DirectSendCompositor ds_sparse(true);
   const BinaryTreeCompositor tree;
   const ParallelPipelineCompositor pipeline;
-  const FoldCompositor fold_bs(bs), fold_bsbr(bsbr), fold_bslc(bslc), fold_bsbrc(bsbrc),
-      fold_bsbrs(bsbrs);
+  const FoldCompositor fold_bs(bs()), fold_bsbr(bsbr()), fold_bslc(bslc()),
+      fold_bsbrc(bsbrc()), fold_bsbrs(bsbrs());
   // Cross-bred (plan, codec) combinations: k-ary group exchanges verify at
   // EVERY P without the Fold wrapper; tree/direct-send carry RLE payloads.
   const PlanCompositor kary_bs("KaryBS", PlanFamily::kKary, CodecKind::kFullPixel,
@@ -183,12 +167,23 @@ int main(int argc, char** argv) {
                               TrackerKind::kUnion);
 
   const std::vector<MethodEntry> methods = {
-      {&bs, &fold_bs},           {&bsbr, &fold_bsbr},   {&bslc, &fold_bslc},
-      {&bslc_flat, nullptr},     {&bsbrc, &fold_bsbrc}, {&bsbrc_tight, nullptr},
-      {&bsbrs, &fold_bsbrs},     {&ds_full, nullptr},   {&ds_sparse, nullptr},
-      {&tree, nullptr},          {&pipeline, nullptr},  {&kary_bs, nullptr},
-      {&kary_br, nullptr},       {&kary_brc, nullptr},  {&kary_lc, nullptr},
-      {&tree_brc, nullptr},      {&ds_brc, nullptr},
+      {&bs(), &fold_bs},
+      {&bsbr(), &fold_bsbr},
+      {&bslc(), &fold_bslc},
+      {&bslc_noninterleaved(), nullptr},
+      {&bsbrc(), &fold_bsbrc},
+      {&bsbrc_tight(), nullptr},
+      {&bsbrs(), &fold_bsbrs},
+      {&direct_send_full(), nullptr},
+      {&direct_send_sparse(), nullptr},
+      {&tree, nullptr},
+      {&pipeline, nullptr},
+      {&kary_bs, nullptr},
+      {&kary_br, nullptr},
+      {&kary_brc, nullptr},
+      {&kary_lc, nullptr},
+      {&tree_brc, nullptr},
+      {&ds_brc, nullptr},
   };
 
   int verified = 0;
@@ -223,8 +218,8 @@ int main(int argc, char** argv) {
       }
     }
     if (eq9 && pow2 && (only.empty() || only == "eq9")) {
-      const auto report = slspvr::check::verify_eq9(bs.schedule(p), bsbr.schedule(p),
-                                                   bsbrc.schedule(p), bslc.schedule(p));
+      const auto report = slspvr::check::verify_eq9(bs().schedule(p), bsbr().schedule(p),
+                                                   bsbrc().schedule(p), bslc().schedule(p));
       if (report.holds) {
         ++verified;
         if (verbose) {

@@ -6,17 +6,36 @@
 // usage:
 //   slspvr_mkvolume --dataset <name> [--scale f] --out <file.vol>
 //   slspvr_mkvolume --import <raw> --dims NX,NY,NZ --out <file.vol>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <string>
+#include <vector>
 
+#include "cli_parse.hpp"
 #include "volume/datasets.hpp"
 
+namespace tools = slspvr::tools;
 namespace vol = slspvr::vol;
 
 namespace {
+
+/// --dims NX,NY,NZ: exactly three strict positive integers.
+vol::Dims parse_dims(const std::string& token) {
+  const std::vector<std::string> fields = tools::split_commas(token);
+  if (fields.size() != 3) throw tools::ParseError("--dims: '" + token + "' is not NX,NY,NZ");
+  return vol::Dims{tools::parse_positive_int(fields[0], "--dims"),
+                   tools::parse_positive_int(fields[1], "--dims"),
+                   tools::parse_positive_int(fields[2], "--dims")};
+}
+
+/// --scale: a strict finite number, > 0.
+double parse_scale(const std::string& token) {
+  const double scale = tools::parse_finite_float(token, "--scale");
+  if (!(scale > 0.0)) throw tools::ParseError("--scale: '" + token + "' must be > 0");
+  return scale;
+}
 
 int run_tool(int argc, char** argv) {
   std::optional<vol::DatasetKind> dataset;
@@ -49,16 +68,13 @@ int run_tool(int argc, char** argv) {
       if (p == nullptr) return 2;
       import_path = p;
     } else if (a == "--dims") {
-      const char* spec = next();
-      if (spec == nullptr ||
-          std::sscanf(spec, "%d,%d,%d", &dims.nx, &dims.ny, &dims.nz) != 3) {
-        std::cerr << "--dims expects NX,NY,NZ\n";
-        return 2;
-      }
+      const char* token = next();
+      if (token == nullptr) return 2;
+      dims = parse_dims(token);
     } else if (a == "--scale") {
-      const char* s = next();
-      if (s == nullptr) return 2;
-      scale = std::atof(s);
+      const char* token = next();
+      if (token == nullptr) return 2;
+      scale = parse_scale(token);
     } else if (a == "--out") {
       const char* s = next();
       if (s == nullptr) return 2;
@@ -73,11 +89,6 @@ int run_tool(int argc, char** argv) {
               << "       slspvr_mkvolume --import <raw> --dims NX,NY,NZ --out <file.vol>\n";
     return 2;
   }
-  if (!(scale > 0.0)) {
-    std::cerr << "--scale must be > 0 (got " << scale << ")\n";
-    return 2;
-  }
-
   if (dataset) {
     const auto ds = vol::make_dataset(*dataset, scale);
     vol::write_raw(ds.volume, out);
@@ -113,6 +124,9 @@ int run_tool(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run_tool(argc, argv);
+  } catch (const tools::ParseError& e) {
+    std::cerr << "slspvr-mkvolume: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "slspvr_mkvolume: error: " << e.what() << "\n";
     return 1;

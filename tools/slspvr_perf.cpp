@@ -19,8 +19,9 @@
 // not with this tool.
 //
 // Output: machine-readable JSON (default BENCH_8.json). --smoke shrinks the
-// sweep for CI. Every flag value parses strictly (tools/render_cli.hpp): a
-// malformed one is a one-line error and exit 2.
+// sweep for CI (384^2, P = 2 and 4, 3 reps) and excludes --sizes, --ranks and
+// --reps. Every flag value parses strictly (tools/cli_parse.hpp): a malformed
+// one is a one-line error and exit 2.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -32,13 +33,13 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "core/order.hpp"
 #include "core/wire.hpp"
 #include "image/image.hpp"
 #include "image/kernels.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/synthetic.hpp"
-#include "render_cli.hpp"
 
 namespace img = slspvr::img;
 namespace kern = slspvr::img::kern;
@@ -75,9 +76,11 @@ std::vector<int> parse_positive_list(const std::string& token, const std::string
   return values;
 }
 
-/// Throws tools::ParseError on a malformed or out-of-range value.
+/// Throws tools::ParseError on a malformed or out-of-range value, and on
+/// --smoke together with a flag whose value --smoke would replace.
 PerfOptions parse_args(int argc, char** argv) {
   PerfOptions opt;
+  bool sweep_flag = false;  ///< --sizes, --ranks or --reps given
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -90,6 +93,7 @@ PerfOptions parse_args(int argc, char** argv) {
       opt.out = next();
     } else if (arg == "--sizes") {
       opt.sizes = parse_positive_list(next(), "--sizes");
+      sweep_flag = true;
     } else if (arg == "--ranks") {
       const std::string token = next();
       opt.ranks = parse_positive_list(token, "--ranks");
@@ -99,6 +103,7 @@ PerfOptions parse_args(int argc, char** argv) {
                                   ", not a power of two");
         }
       }
+      sweep_flag = true;
     } else if (arg == "--density") {
       const std::string token = next();
       opt.density = tools::parse_finite_float(token, "--density");
@@ -107,6 +112,7 @@ PerfOptions parse_args(int argc, char** argv) {
       }
     } else if (arg == "--reps") {
       opt.reps = tools::parse_positive_int(next(), "--reps");
+      sweep_flag = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -115,6 +121,10 @@ PerfOptions parse_args(int argc, char** argv) {
     }
   }
   if (opt.smoke) {
+    if (sweep_flag) {
+      throw tools::ParseError("--smoke sets --sizes, --ranks and --reps itself; "
+                              "give either --smoke or those flags");
+    }
     opt.sizes = {384};
     opt.ranks = {2, 4};
     opt.reps = 3;

@@ -74,19 +74,13 @@
 #include <filesystem>
 #include <future>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/binary_swap.hpp"
 #include "core/binary_tree.hpp"
-#include "core/bsbr.hpp"
-#include "core/bsbrc.hpp"
-#include "core/bsbrs.hpp"
-#include "core/bslc.hpp"
-#include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/plan_compositor.hpp"
 #include "core/worker_pool.hpp"
 #include "image/compare.hpp"
 #include "image/image_io.hpp"
@@ -279,15 +273,17 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
-std::unique_ptr<core::Compositor> make_method(const std::string& name) {
-  if (name == "bs") return std::make_unique<core::BinarySwapCompositor>();
-  if (name == "bsbr") return std::make_unique<core::BsbrCompositor>();
-  if (name == "bslc") return std::make_unique<core::BslcCompositor>();
-  if (name == "bsbrc") return std::make_unique<core::BsbrcCompositor>();
-  if (name == "bsbrs") return std::make_unique<core::BsbrsCompositor>();
-  if (name == "tree") return std::make_unique<core::BinaryTreeCompositor>();
-  if (name == "direct") return std::make_unique<core::DirectSendCompositor>(true);
-  if (name == "pipeline") return std::make_unique<core::ParallelPipelineCompositor>();
+const core::Compositor& method_named(const std::string& name) {
+  static const core::BinaryTreeCompositor tree;
+  static const core::ParallelPipelineCompositor pipeline;
+  if (name == "bs") return core::bs();
+  if (name == "bsbr") return core::bsbr();
+  if (name == "bslc") return core::bslc();
+  if (name == "bsbrc") return core::bsbrc();
+  if (name == "bsbrs") return core::bsbrs();
+  if (name == "tree") return tree;
+  if (name == "direct") return core::direct_send_sparse();
+  if (name == "pipeline") return pipeline;
   std::cerr << "unknown method " << name << "\n";
   usage(2);
 }
@@ -385,7 +381,7 @@ int write_sequence(const Args& args, const pvr::SequenceRunResult& seq) {
 }
 
 int run_tool(const Args& args) {
-  if (args.sessions > 0) return run_sessions(args, *make_method(args.method));
+  if (args.sessions > 0) return run_sessions(args, method_named(args.method));
   if (const auto parent = std::filesystem::path(args.out).parent_path(); !parent.empty()) {
     std::filesystem::create_directories(parent);
   }
@@ -411,7 +407,7 @@ int run_tool(const Args& args) {
               << "x" << user_dataset->volume.dims().nz << ")\n";
   }
 
-  const auto method = make_method(args.method);
+  const core::Compositor& method = method_named(args.method);
 
   // Intra-rank fan-out is explicit engine configuration: both backends
   // build every rank's context from ExperimentConfig::engine.
@@ -425,16 +421,16 @@ int run_tool(const Args& args) {
     const vol::Dataset dataset =
         user_dataset ? *user_dataset : vol::make_dataset(args.dataset, args.scale);
     pvr::SequenceRunResult seq = pvr::run_compositing_sequence(
-        *method, dataset, config, slspvr::tools::to_sequence_options(args.procs));
+        method, dataset, config, slspvr::tools::to_sequence_options(args.procs));
     if (args.procs.sequence()) return write_sequence(args, seq);
     result = std::move(seq.frames.front().result);
     fault_report = std::move(seq.frames.front().report);
   } else {
     const auto execute = [&](const pvr::Experiment& experiment) {
       if (args.faults.empty()) {
-        result = experiment.run(*method);
+        result = experiment.run(method);
       } else {
-        pvr::FtMethodResult ft = experiment.run_ft(*method, args.faults);
+        pvr::FtMethodResult ft = experiment.run_ft(method, args.faults);
         result = std::move(ft.result);
         fault_report = std::move(ft.report);
       }
