@@ -8,17 +8,19 @@
 // The defaults keep the whole harness runnable in minutes on one core while
 // preserving the paper's image sizes (which drive the compositing metrics).
 //
-// Parsing is strict: every numeric token must consume the whole string and be
-// positive, and malformed input raises ParseError (the binaries catch it and
-// exit 2). The pure helpers are separated from the exit-on-error wrapper so
-// the test suite can cover them directly.
+// Parsing is strict, with the tools' parsers (tools/cli_parse.hpp): every
+// numeric token must consume the whole string and be positive, and malformed
+// input raises tools::ParseError (the binaries catch it and exit 2). The pure
+// argv parse is separated from the exit-on-error wrapper so the test suite
+// can cover it directly.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "tools/cli_parse.hpp"
 
 namespace slspvr::bench {
 
@@ -29,105 +31,31 @@ struct Options {
   std::string csv;     ///< when non-empty, also write machine-readable rows
 };
 
-/// Malformed command-line value. parse_options turns this into exit(2);
-/// tests assert on the message instead.
-struct ParseError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Strict positive-integer parse: every character must be a decimal digit
-/// (stoi's whitespace/sign tolerance is rejected) and the value strictly
-/// positive.
-[[nodiscard]] inline int parse_positive_int(const std::string& token,
-                                            const std::string& what) {
-  bool digits = !token.empty();
-  for (const char c : token) digits = digits && c >= '0' && c <= '9';
-  std::size_t used = 0;
-  int value = 0;
-  if (digits) {
-    try {
-      value = std::stoi(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-  }
-  if (!digits || used != token.size()) {
-    throw ParseError(what + ": '" + token + "' is not an integer");
-  }
-  if (value <= 0) {
-    throw ParseError(what + ": '" + token + "' must be positive");
-  }
-  return value;
-}
-
-/// Strict positive-double parse: whole token consumed, no leading
-/// whitespace/sign, strictly positive (also rejects NaN).
-[[nodiscard]] inline double parse_positive_double(const std::string& token,
-                                                  const std::string& what) {
-  const bool starts_numeric =
-      !token.empty() && ((token.front() >= '0' && token.front() <= '9') ||
-                         token.front() == '.');
-  std::size_t used = 0;
-  double value = 0.0;
-  if (starts_numeric) {
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-  }
-  if (!starts_numeric || used != token.size()) {
-    throw ParseError(what + ": '" + token + "' is not a number");
-  }
-  if (!(value > 0.0)) {
-    throw ParseError(what + ": '" + token + "' must be positive");
-  }
-  return value;
-}
-
-/// Comma-separated positive integers; empty tokens (",,", trailing comma) and
-/// empty lists are errors.
-[[nodiscard]] inline std::vector<int> parse_positive_int_csv(const std::string& csv,
-                                                             const std::string& what) {
-  if (csv.empty()) throw ParseError(what + ": empty list");
-  std::vector<int> values;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? csv.size() - pos : comma - pos);
-    values.push_back(parse_positive_int(tok, what));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
-}
-
-/// Pure argv parse — throws ParseError on malformed input, never exits.
+/// Pure argv parse — throws tools::ParseError on malformed input, never exits.
 [[nodiscard]] inline Options parse_options_or_throw(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ParseError("missing value for " + arg);
+      if (i + 1 >= argc) throw tools::ParseError("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--scale") {
-      options.scale = parse_positive_double(next(), "--scale");
+      options.scale = tools::parse_positive_double(next(), "--scale");
     } else if (arg == "--image") {
-      options.image_size = parse_positive_int(next(), "--image");
+      options.image_size = tools::parse_positive_int(next(), "--image");
     } else if (arg == "--full") {
       options.scale = 1.0;
     } else if (arg == "--csv") {
       options.csv = next();
-      if (options.csv.empty()) throw ParseError("--csv: empty path");
+      if (options.csv.empty()) throw tools::ParseError("--csv: empty path");
     } else if (arg == "--ranks") {
-      options.ranks = parse_positive_int_csv(next(), "--ranks");
+      options.ranks = tools::parse_positive_int_csv(next(), "--ranks");
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "options: --scale <f> | --full | --image <n> | --ranks <list> | --csv <path>\n";
       std::exit(0);
     } else {
-      throw ParseError("unknown option " + arg + " (see --help)");
+      throw tools::ParseError("unknown option " + arg + " (see --help)");
     }
   }
   return options;
@@ -136,7 +64,7 @@ struct ParseError : std::runtime_error {
 inline Options parse_options(int argc, char** argv) {
   try {
     return parse_options_or_throw(argc, argv);
-  } catch (const ParseError& e) {
+  } catch (const tools::ParseError& e) {
     std::cerr << e.what() << "\n";
     std::exit(2);
   }

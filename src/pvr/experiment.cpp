@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include "core/binary_tree.hpp"
 #include "core/engine.hpp"
@@ -43,6 +46,60 @@ FramePartition partition_frame(const vol::Dataset& dataset, const ExperimentConf
   return out;
 }
 
+void render_subimage(const vol::Dataset& dataset, const ExperimentConfig& config,
+                     const vol::Brick& brick, img::Image& out,
+                     render::KeptRenderers* renderers, std::size_t slot) {
+  const render::OrthoCamera camera(dataset.volume.dims(), config.image_size, config.image_size,
+                                   config.rot_x_deg, config.rot_y_deg);
+  render::RaycastOptions options;
+  options.step = config.step;
+  if (config.use_splatting) {
+    render::splat_brick(dataset.volume, dataset.tf, camera, brick, out);
+  } else if (renderers != nullptr) {
+    renderers->render(slot, dataset.volume, dataset.tf, brick, camera, out, options);
+  } else {
+    render::render_brick(dataset.volume, dataset.tf, camera, brick, out, options);
+  }
+}
+
+std::vector<img::Image> render_subimages(const vol::Dataset& dataset,
+                                         const ExperimentConfig& config,
+                                         const std::vector<vol::Brick>& bricks,
+                                         render::KeptRenderers* renderers) {
+  const std::size_t n = bricks.size();
+  // Every subimage is allocated here, before any task starts: allocated
+  // inside the tasks, they would come from glibc's per-thread arenas and
+  // raise the peak RSS of an owner that renders frame after frame.
+  std::vector<img::Image> subimages;
+  subimages.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) subimages.emplace_back(config.image_size, config.image_size);
+  if (renderers != nullptr) renderers->reserve(n);
+
+  std::vector<std::exception_ptr> errors(n);
+  const auto render_one = [&](std::size_t i) {
+    try {
+      render_subimage(dataset, config, bricks[i], subimages[i], renderers, i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    try {
+      threads.emplace_back(render_one, i);
+    } catch (const std::system_error&) {
+      render_one(i);  // no thread to be had: render the brick here
+    }
+  }
+  if (n > 0) render_one(0);
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return subimages;
+}
+
 Experiment::Experiment(const ExperimentConfig& config)
     : Experiment(vol::make_dataset(config.dataset, config.volume_scale), config) {}
 
@@ -58,13 +115,13 @@ Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& conf
 
   // Rendering phase. The distributed path executes the partitioning phase
   // over the message-passing runtime (rank 0 ships ghost bricks, PEs render
-  // local-only); the default renders each brick against the shared volume —
-  // identical images, no partition traffic to account.
-  const render::OrthoCamera camera(dataset.volume.dims(), config.image_size, config.image_size,
-                                   config.rot_x_deg, config.rot_y_deg);
-  render::RaycastOptions options;
-  options.step = config.step;
+  // local-only); the default renders every brick at once against the shared
+  // volume — identical images, no partition traffic to account.
   if (config.distributed_partitioning && !config.use_splatting) {
+    const render::OrthoCamera camera(dataset.volume.dims(), config.image_size,
+                                     config.image_size, config.rot_x_deg, config.rot_y_deg);
+    render::RaycastOptions options;
+    options.step = config.step;
     DistributedRender distributed =
         distribute_and_render(dataset.volume, dataset.tf, bricks_, camera, options);
     subimages_ = std::move(distributed.subimages);
@@ -72,19 +129,7 @@ Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& conf
     max_partition_bytes_ = distributed.max_partition_bytes;
     return;
   }
-  subimages_.reserve(bricks_.size());
-  for (std::size_t i = 0; i < bricks_.size(); ++i) {
-    const vol::Brick& brick = bricks_[i];
-    img::Image sub(config.image_size, config.image_size);
-    if (config.use_splatting) {
-      render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
-    } else if (renderers != nullptr) {
-      renderers->render(i, dataset.volume, dataset.tf, brick, camera, sub, options);
-    } else {
-      render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
-    }
-    subimages_.push_back(std::move(sub));
-  }
+  subimages_ = render_subimages(dataset, config, bricks_, renderers);
 }
 
 img::Image Experiment::reference() const {

@@ -2,15 +2,17 @@
 // phase + compositing phase (Figure 1 of the paper), instrumented the way
 // the evaluation section needs.
 //
-// An Experiment renders the per-PE subimages once; each call to run()
-// executes one compositing method SPMD over those subimages and returns the
-// modelled times (SP2 cost model), M_max, wall-clock, per-rank counters and
-// the gathered final image. Power-of-two rank counts use the kd partition;
+// An Experiment renders the per-PE subimages once, every brick at once as
+// every PE renders its own (render_subimages); each call to run() executes
+// one compositing method SPMD over those subimages and returns the modelled
+// times (SP2 cost model), M_max, wall-clock, per-rank counters and the
+// gathered final image. Power-of-two rank counts use the kd partition;
 // any other count automatically switches to the slab decomposition and
 // wraps the method in the non-power-of-two fold extension (partition_frame
 // and core::ResolvedMethod, the two halves of that one decision).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,6 +66,29 @@ struct FramePartition {
 
 [[nodiscard]] FramePartition partition_frame(const vol::Dataset& dataset,
                                              const ExperimentConfig& config);
+
+/// The rendering phase for one brick of one view (Figure 1): `brick` of
+/// `dataset`, as config's camera sees it, into `out` (image_size square,
+/// blank). It splats with config.use_splatting; otherwise it ray casts
+/// through slot `slot` of a non-null `renderers`, which prepares the brick
+/// only for a new brick or step, or else prepares it for this one call.
+/// Writes only `out` and that slot. Throws std::invalid_argument for a step
+/// the ray caster rejects.
+void render_subimage(const vol::Dataset& dataset, const ExperimentConfig& config,
+                     const vol::Brick& brick, img::Image& out,
+                     render::KeptRenderers* renderers = nullptr, std::size_t slot = 0);
+
+/// The rendering phase of one view: subimage i is render_subimage of
+/// bricks[i] through slot i of `renderers`, every brick at once, as every
+/// PE renders its own. The subimages are allocated on the calling thread;
+/// brick 0 renders there and each other brick on a thread of its own. After
+/// all have joined, the lowest-indexed brick's exception is rethrown.
+/// Each brick writes only its own subimage and slot, so the images are the
+/// serial renders' byte for byte.
+[[nodiscard]] std::vector<img::Image> render_subimages(const vol::Dataset& dataset,
+                                                       const ExperimentConfig& config,
+                                                       const std::vector<vol::Brick>& bricks,
+                                                       render::KeptRenderers* renderers = nullptr);
 
 /// One observed failure during a fault-tolerant run. Ranks are reported in
 /// the *original* (attempt-0) numbering, including failures seen during
@@ -136,10 +161,12 @@ class Experiment {
 
   /// Run the pipeline over a user-supplied volume + transfer function
   /// (config.dataset / volume_scale are ignored; everything else applies).
-  /// This is the bring-your-own-data entry point used by tools/. A non-null
-  /// `renderers` renders brick i through its slot i, so an owner that keeps
-  /// them across views of `dataset` (a FrameService session) prepares each
-  /// brick once; the ghost-brick and splatting paths do not use them.
+  /// This is the bring-your-own-data entry point used by tools/. The bricks
+  /// render at once (render_subimages), and the lowest-indexed failed
+  /// brick's exception leaves the constructor. A non-null `renderers`
+  /// renders brick i through its slot i, so an owner that keeps them across
+  /// views of `dataset` (a FrameService session) prepares each brick once;
+  /// the ghost-brick and splatting paths do not use them.
   Experiment(const vol::Dataset& dataset, const ExperimentConfig& config,
              render::KeptRenderers* renderers = nullptr);
 

@@ -20,9 +20,7 @@
 #include "mp/supervisor.hpp"
 #include "pvr/recovery.hpp"
 #include "pvr/serialize.hpp"
-#include "render/camera.hpp"
 #include "render/raycast.hpp"
-#include "render/splatting.hpp"
 #include "volume/partition.hpp"
 
 namespace slspvr::pvr {
@@ -226,27 +224,6 @@ ExperimentConfig sequence_frame_config(const ExperimentConfig& base,
   return cfg;
 }
 
-/// Render one rank's brick for one frame's view (the sort-last rendering
-/// phase, restricted to the caller's own brick). A resident worker passes
-/// its kept renderer, so it prepares its brick once; the parent's recovery
-/// re-renders prepare per call.
-img::Image render_one_brick(const vol::Dataset& dataset, const ExperimentConfig& cfg,
-                            const vol::Brick& brick, render::KeptRenderers* kept = nullptr) {
-  render::OrthoCamera camera(dataset.volume.dims(), cfg.image_size, cfg.image_size,
-                             cfg.rot_x_deg, cfg.rot_y_deg);
-  img::Image sub(cfg.image_size, cfg.image_size);
-  render::RaycastOptions options;
-  options.step = cfg.step;
-  if (cfg.use_splatting) {
-    render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
-  } else if (kept != nullptr) {
-    kept->render(0, dataset.volume, dataset.tf, brick, camera, sub, options);
-  } else {
-    render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
-  }
-  return sub;
-}
-
 /// A worker's whole life (any incarnation): connect, hello with the
 /// generation, then loop kFrameStart -> render own brick -> composite ->
 /// kFrameDone until the supervisor says kShutdown. Every frame builds a
@@ -299,8 +276,9 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
       const int frame = roster->frame;
       const ExperimentConfig cfg = sequence_frame_config(base, opts, frame);
       const FramePartition partition = partition_frame(dataset, cfg);
-      img::Image local = render_one_brick(
-          dataset, cfg, partition.bricks[static_cast<std::size_t>(rank)], &renderer);
+      img::Image local(cfg.image_size, cfg.image_size);
+      render_subimage(dataset, cfg, partition.bricks[static_cast<std::size_t>(rank)], local,
+                      &renderer);
 
       if (!roster->demoted.empty()) {
         // Demoted roster: no full-strength plan exists anymore. Every
@@ -453,12 +431,14 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       }
       ft.report.faulted = true;
       ft.report.degraded = true;
-      const img::Rect full{0, 0, cfg.image_size, cfg.image_size};
+      std::vector<vol::Brick> lost_bricks;
       for (int r = 0; r < ranks; ++r) {
         if (!lost[static_cast<std::size_t>(r)]) continue;
         ft.report.failed_ranks.push_back(r);
-        const img::Image sub =
-            render_one_brick(dataset, cfg, partition.bricks[static_cast<std::size_t>(r)]);
+        lost_bricks.push_back(partition.bricks[static_cast<std::size_t>(r)]);
+      }
+      const img::Rect full{0, 0, cfg.image_size, cfg.image_size};
+      for (const img::Image& sub : render_subimages(dataset, cfg, lost_bricks)) {
         ft.report.pixels_lost += img::count_non_blank(sub, full);
       }
       ft.result.method = std::string(resolved.name());
@@ -491,11 +471,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       // here and run the in-frame recovery ladder (mid-frame plan repair
       // from shipped snapshots, else degraded recomposite).
       const FramePartition partition = partition_frame(dataset, cfg);
-      std::vector<img::Image> subs;
-      subs.reserve(static_cast<std::size_t>(ranks));
-      for (const vol::Brick& brick : partition.bricks) {
-        subs.push_back(render_one_brick(dataset, cfg, brick));
-      }
+      const std::vector<img::Image> subs = render_subimages(dataset, cfg, partition.bricks);
       ft.report.faulted = true;
       std::vector<bool> failed(static_cast<std::size_t>(ranks), false);
       for (const mp::WorkerFailure& f : fo.failures) {

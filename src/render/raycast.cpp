@@ -860,11 +860,15 @@ void BrickRenderer::render(const OrthoCamera& camera, img::Image& out,
   }
 }
 
+void KeptRenderers::reserve(std::size_t slots) {
+  if (slots > slots_.size()) slots_.resize(slots);
+}
+
 void KeptRenderers::render(std::size_t slot, const vol::Volume& volume,
                            const vol::TransferFunction& tf, const vol::Brick& brick,
                            const OrthoCamera& camera, img::Image& out,
                            const RaycastOptions& options, RenderStats* stats) {
-  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  reserve(slot + 1);
   std::optional<BrickRenderer>& kept = slots_[slot];
   if (!kept || !kept->prepared_for(volume, brick, options)) {
     kept.emplace(volume, tf, brick, options);

@@ -3,6 +3,7 @@
 // positions lie on a global grid, so brick images composite exactly.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -88,20 +89,27 @@ class BrickRenderer {
 /// FrameService session one per brick of its volume. A slot's renderer is
 /// prepared on the slot's first render and again only when the volume, the
 /// brick or the options change. The volume and transfer function must
-/// outlive the renderers and stay unchanged. Not thread-safe: one render at
-/// a time.
+/// outlive the renderers and stay unchanged.
+///
+/// One render per slot at a time: render() calls on distinct slots may run
+/// concurrently once reserve() has made those slots exist. A render() on a
+/// slot past the reserved ones grows the slots, so it must run alone.
 class KeptRenderers {
  public:
+  /// Make slots 0..`slots`-1 exist (it never removes one). Not concurrent
+  /// with render().
+  void reserve(std::size_t slots);
+
   void render(std::size_t slot, const vol::Volume& volume, const vol::TransferFunction& tf,
               const vol::Brick& brick, const OrthoCamera& camera, img::Image& out,
               const RaycastOptions& options = {}, RenderStats* stats = nullptr);
 
-  /// Renderers prepared so far.
-  [[nodiscard]] std::int64_t prepares() const noexcept { return prepares_; }
+  /// Renderers prepared so far, by every slot.
+  [[nodiscard]] std::int64_t prepares() const noexcept { return prepares_.load(); }
 
  private:
   std::vector<std::optional<BrickRenderer>> slots_;
-  std::int64_t prepares_ = 0;
+  std::atomic<std::int64_t> prepares_{0};
 };
 
 /// Render the portion of `volume` inside `brick` into `out`, preparing the

@@ -1,6 +1,6 @@
 // Coverage for the benchmark binaries' shared command-line parsing: the
-// strict numeric helpers and the pure (throwing) argv parser that
-// bench_common.hpp builds the exit-on-error wrapper from.
+// strict numeric helpers (tools/cli_parse.hpp) and the pure (throwing) argv
+// parser that bench_common.hpp builds the exit-on-error wrapper from.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +9,7 @@
 #include "bench/bench_common.hpp"
 
 namespace bench = slspvr::bench;
+namespace tools = slspvr::tools;
 
 namespace {
 
@@ -54,46 +55,46 @@ TEST(BenchCli, FullIsScaleOne) {
 }
 
 TEST(BenchCli, RejectsNonNumericTokens) {
-  EXPECT_THROW(parse({"--image", "abc"}), bench::ParseError);
-  EXPECT_THROW(parse({"--image", "12x"}), bench::ParseError);  // trailing junk
-  EXPECT_THROW(parse({"--image", ""}), bench::ParseError);
-  EXPECT_THROW(parse({"--scale", "fast"}), bench::ParseError);
-  EXPECT_THROW(parse({"--scale", "1.0garbage"}), bench::ParseError);
-  EXPECT_THROW(parse({"--scale", "nan"}), bench::ParseError);
-  EXPECT_THROW(parse({"--ranks", "2,four,8"}), bench::ParseError);
+  EXPECT_THROW(parse({"--image", "abc"}), tools::ParseError);
+  EXPECT_THROW(parse({"--image", "12x"}), tools::ParseError);  // trailing junk
+  EXPECT_THROW(parse({"--image", ""}), tools::ParseError);
+  EXPECT_THROW(parse({"--scale", "fast"}), tools::ParseError);
+  EXPECT_THROW(parse({"--scale", "1.0garbage"}), tools::ParseError);
+  EXPECT_THROW(parse({"--scale", "nan"}), tools::ParseError);
+  EXPECT_THROW(parse({"--ranks", "2,four,8"}), tools::ParseError);
 }
 
 TEST(BenchCli, RejectsNonPositiveValues) {
-  EXPECT_THROW(parse({"--image", "0"}), bench::ParseError);
-  EXPECT_THROW(parse({"--image", "-64"}), bench::ParseError);
-  EXPECT_THROW(parse({"--scale", "0"}), bench::ParseError);
-  EXPECT_THROW(parse({"--scale", "-0.5"}), bench::ParseError);
-  EXPECT_THROW(parse({"--ranks", "2,0,8"}), bench::ParseError);
-  EXPECT_THROW(parse({"--ranks", "-2"}), bench::ParseError);
+  EXPECT_THROW(parse({"--image", "0"}), tools::ParseError);
+  EXPECT_THROW(parse({"--image", "-64"}), tools::ParseError);
+  EXPECT_THROW(parse({"--scale", "0"}), tools::ParseError);
+  EXPECT_THROW(parse({"--scale", "-0.5"}), tools::ParseError);
+  EXPECT_THROW(parse({"--ranks", "2,0,8"}), tools::ParseError);
+  EXPECT_THROW(parse({"--ranks", "-2"}), tools::ParseError);
 }
 
 TEST(BenchCli, RejectsMalformedRankLists) {
-  EXPECT_THROW(parse({"--ranks", ""}), bench::ParseError);
-  EXPECT_THROW(parse({"--ranks", "2,,8"}), bench::ParseError);  // empty token
-  EXPECT_THROW(parse({"--ranks", "2,4,"}), bench::ParseError);  // trailing comma
-  EXPECT_THROW(parse({"--ranks", ","}), bench::ParseError);
+  EXPECT_THROW(parse({"--ranks", ""}), tools::ParseError);
+  EXPECT_THROW(parse({"--ranks", "2,,8"}), tools::ParseError);  // empty token
+  EXPECT_THROW(parse({"--ranks", "2,4,"}), tools::ParseError);  // trailing comma
+  EXPECT_THROW(parse({"--ranks", ","}), tools::ParseError);
 }
 
 TEST(BenchCli, RejectsMissingValuesAndUnknownOptions) {
-  EXPECT_THROW(parse({"--scale"}), bench::ParseError);
-  EXPECT_THROW(parse({"--ranks"}), bench::ParseError);
-  EXPECT_THROW(parse({"--csv", ""}), bench::ParseError);
-  EXPECT_THROW(parse({"--turbo"}), bench::ParseError);
+  EXPECT_THROW(parse({"--scale"}), tools::ParseError);
+  EXPECT_THROW(parse({"--ranks"}), tools::ParseError);
+  EXPECT_THROW(parse({"--csv", ""}), tools::ParseError);
+  EXPECT_THROW(parse({"--turbo"}), tools::ParseError);
 }
 
 TEST(BenchCli, HelperFunctionsValidateStrictly) {
-  EXPECT_EQ(bench::parse_positive_int("64", "x"), 64);
-  EXPECT_DOUBLE_EQ(bench::parse_positive_double("0.25", "x"), 0.25);
-  EXPECT_EQ(bench::parse_positive_int_csv("1,2,3", "x"), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(tools::parse_positive_int("64", "x"), 64);
+  EXPECT_DOUBLE_EQ(tools::parse_positive_double("0.25", "x"), 0.25);
+  EXPECT_EQ(tools::parse_positive_int_csv("1,2,3", "x"), (std::vector<int>{1, 2, 3}));
   // Hex/whitespace variants the old atoi-based parser silently accepted.
-  EXPECT_THROW((void)bench::parse_positive_int(" 5", "x"), bench::ParseError);
-  EXPECT_THROW((void)bench::parse_positive_int("5 ", "x"), bench::ParseError);
-  EXPECT_THROW((void)bench::parse_positive_double("1e", "x"), bench::ParseError);
+  EXPECT_THROW((void)tools::parse_positive_int(" 5", "x"), tools::ParseError);
+  EXPECT_THROW((void)tools::parse_positive_int("5 ", "x"), tools::ParseError);
+  EXPECT_THROW((void)tools::parse_positive_double("1e", "x"), tools::ParseError);
 }
 
 }  // namespace

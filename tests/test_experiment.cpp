@@ -1,16 +1,27 @@
 // End-to-end pipeline tests: partition -> render -> composite -> gather via
 // the pvr::Experiment harness, including the Eq. (9) check on real rendered
-// subimages and the folded non-power-of-two path.
+// subimages, the folded non-power-of-two path, and the concurrent rendering
+// phase against serial per-brick renders.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/plan_compositor.hpp"
+#include "image/kernels.hpp"
 #include "pvr/experiment.hpp"
+#include "render/camera.hpp"
+#include "render/raycast.hpp"
+#include "render/splatting.hpp"
 #include "test_helpers.hpp"
 
 namespace pvr = slspvr::pvr;
 namespace vol = slspvr::vol;
 namespace core = slspvr::core;
 namespace img = slspvr::img;
+namespace render = slspvr::render;
 using slspvr::testing::expect_images_near;
 
 namespace {
@@ -22,6 +33,16 @@ pvr::ExperimentConfig small_config(vol::DatasetKind kind, int ranks) {
   config.image_size = 64;
   config.ranks = ranks;
   return config;
+}
+
+bool same_bytes(const img::Image& a, const img::Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(), a.pixels().size_bytes()) == 0;
+}
+
+render::OrthoCamera camera_of(const vol::Dataset& dataset, const pvr::ExperimentConfig& config) {
+  return render::OrthoCamera(dataset.volume.dims(), config.image_size, config.image_size,
+                             config.rot_x_deg, config.rot_y_deg);
 }
 
 }  // namespace
@@ -117,4 +138,68 @@ TEST(Experiment, WallClockIsMeasured) {
   const pvr::Experiment experiment(small_config(vol::DatasetKind::Cube, 4));
   const core::Compositor& bsbrc = core::bsbrc();
   EXPECT_GT(experiment.run(bsbrc).wall_ms, 0.0);
+}
+
+TEST(Experiment, ConcurrentBricksMatchSerialReferenceRenders) {
+  // The rendering phase renders every brick at once, each into its own
+  // subimage and through its own kept slot: each subimage must be the plain
+  // marcher's serial render of its brick, kd bricks for P = 4 and 8 and
+  // slabs for P = 3 and 6, fresh and kept, under both marches.
+  const vol::Dataset dataset = vol::make_dataset(vol::DatasetKind::EngineLow, 0.15);
+  render::KeptRenderers kept;
+  for (const int ranks : {4, 8, 3, 6}) {
+    const pvr::ExperimentConfig config = small_config(vol::DatasetKind::EngineLow, ranks);
+    const render::OrthoCamera camera = camera_of(dataset, config);
+    for (const bool scalar : {true, false}) {
+      for (render::KeptRenderers* renderers : {static_cast<render::KeptRenderers*>(nullptr),
+                                                &kept}) {
+        img::kern::force_scalar_kernels(scalar);
+        const pvr::Experiment experiment(dataset, config, renderers);
+        img::kern::clear_kernel_override();
+        ASSERT_EQ(experiment.subimages().size(), static_cast<std::size_t>(ranks));
+        for (std::size_t i = 0; i < experiment.bricks().size(); ++i) {
+          img::Image want(config.image_size, config.image_size);
+          render::render_brick_reference(dataset.volume, dataset.tf, camera,
+                                         experiment.bricks()[i], want);
+          EXPECT_TRUE(same_bytes(experiment.subimages()[i], want))
+              << "P " << ranks << " brick " << i << (scalar ? " scalar" : " packet")
+              << (renderers != nullptr ? " kept" : " fresh");
+        }
+      }
+    }
+  }
+}
+
+TEST(Experiment, ConcurrentSplatsMatchSerialSplats) {
+  const vol::Dataset dataset = vol::make_dataset(vol::DatasetKind::Head, 0.15);
+  for (const int ranks : {4, 6}) {
+    pvr::ExperimentConfig config = small_config(vol::DatasetKind::Head, ranks);
+    config.use_splatting = true;
+    const pvr::Experiment experiment(dataset, config);
+    for (std::size_t i = 0; i < experiment.bricks().size(); ++i) {
+      img::Image want(config.image_size, config.image_size);
+      render::splat_brick(dataset.volume, dataset.tf, camera_of(dataset, config),
+                          experiment.bricks()[i], want);
+      EXPECT_TRUE(same_bytes(experiment.subimages()[i], want)) << "P " << ranks << " brick " << i;
+    }
+  }
+}
+
+TEST(Experiment, RenderErrorsReachTheCaller) {
+  // A brick that fails on its own thread fails the constructor, and the
+  // next frame on the same thread renders as if nothing happened.
+  const vol::Dataset dataset = vol::make_dataset(vol::DatasetKind::Cube, 0.15);
+  const pvr::ExperimentConfig good = small_config(vol::DatasetKind::Cube, 4);
+  for (const float step : {0.0f, std::numeric_limits<float>::quiet_NaN()}) {
+    pvr::ExperimentConfig bad = good;
+    bad.step = step;
+    EXPECT_THROW(pvr::Experiment(dataset, bad), std::invalid_argument) << "step " << step;
+    const pvr::Experiment experiment(dataset, good);
+    for (std::size_t i = 0; i < experiment.bricks().size(); ++i) {
+      img::Image want(good.image_size, good.image_size);
+      render::render_brick_reference(dataset.volume, dataset.tf, camera_of(dataset, good),
+                                     experiment.bricks()[i], want);
+      EXPECT_TRUE(same_bytes(experiment.subimages()[i], want)) << "brick " << i;
+    }
+  }
 }

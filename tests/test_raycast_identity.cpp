@@ -13,6 +13,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -438,6 +439,40 @@ TEST(RaycastIdentity, KeptRenderersPrepareAnewOnlyForANewBrickOrStep) {
   expect_fresh(1, ds.volume, bricks[1], {18, 54}, 0.7f, 4);    // a slot keeps its own
   expect_fresh(0, ds.volume, bricks[1], {63, 117}, 0.7f, 4);
   expect_fresh(0, same_dims.volume, bricks[1], {63, 117}, 0.7f, 5);  // and a new volume
+}
+
+TEST(RaycastIdentity, KeptRenderersRenderDistinctSlotsConcurrently) {
+  // The rendering phase renders a frame's bricks at once, brick i through
+  // slot i of one KeptRenderers. Each slot prepares once, whichever thread
+  // renders it, and every image is a fresh render_brick's.
+  const vol::Dataset ds = vol::make_dataset(vol::DatasetKind::EngineLow, 0.2);
+  const std::vector<vol::Brick> bricks = vol::kd_partition(ds.volume.dims(), 8).bricks;
+  const int size = 40;
+  render::KeptRenderers kept;
+  kept.reserve(bricks.size());
+  for (const View& view : {View{18, 24}, View{18, 24}, View{-30, 45}}) {
+    const render::OrthoCamera camera(ds.volume.dims(), size, size, view.rot_x, view.rot_y);
+    std::vector<img::Image> got(bricks.size(), img::Image(size, size));
+    std::vector<render::RenderStats> stats(bricks.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < bricks.size(); ++i) {
+      threads.emplace_back([&, i] {
+        kept.render(i, ds.volume, ds.tf, bricks[i], camera, got[i], {}, &stats[i]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(kept.prepares(), static_cast<std::int64_t>(bricks.size()));
+    for (std::size_t i = 0; i < bricks.size(); ++i) {
+      img::Image want(size, size);
+      render::RenderStats s_want;
+      render::render_brick(ds.volume, ds.tf, camera, bricks[i], want, {}, &s_want);
+      const std::string where = "slot " + std::to_string(i) + ", " +
+                                describe(bricks[i], camera, {});
+      EXPECT_TRUE(same_bytes(got[i], want)) << where;
+      EXPECT_EQ(stats[i].rays, s_want.rays) << where;
+      EXPECT_EQ(stats[i].samples, s_want.samples) << where;
+    }
+  }
 }
 
 class RaycastIdentityServiceSize : public ::testing::TestWithParam<vol::DatasetKind> {};

@@ -1,11 +1,11 @@
-// Strict whole-token parsers for the tools' command-line values, with no
-// dependency beyond the standard library (slspvr-check and slspvr-mkvolume
-// use them without linking the pvr layer; render_cli.hpp builds
-// slspvr-render's flag grammar on them).
+// Strict whole-token parsers for the command-line values of every tool and
+// of the table benches, with no dependency beyond the standard library
+// (slspvr-check, slspvr-mkvolume and slspvr-model use them without linking
+// the pvr layer; render_cli.hpp builds slspvr-render's flag grammar on them,
+// bench/bench_common.hpp the benches').
 //
-// Modeled on bench/bench_common.hpp: the helpers throw ParseError (never
-// exit), so the test suite covers the grammar directly; a tool catches
-// ParseError and exits 2.
+// The helpers throw ParseError (never exit), so the test suite covers the
+// grammar directly; a tool catches ParseError and exits 2.
 #pragma once
 
 #include <cctype>
@@ -71,6 +71,14 @@ struct ParseError : std::runtime_error {
   return value;
 }
 
+/// Strict positive-float parse: parse_finite_float's grammar, and > 0.
+[[nodiscard]] inline double parse_positive_double(const std::string& token,
+                                                  const std::string& what) {
+  const double value = parse_finite_float(token, what);
+  if (!(value > 0.0)) throw ParseError(what + ": '" + token + "' must be positive");
+  return value;
+}
+
 /// Strict unsigned 64-bit parse: the whole token is one number as strtoull
 /// reads it in base 0 (decimal, 0x hexadecimal or 0-prefixed octal), with no
 /// space, sign or suffix, and in range.
@@ -122,6 +130,18 @@ struct ParseError : std::runtime_error {
     if (comma == std::string::npos) return fields;
     begin = comma + 1;
   }
+}
+
+/// Strict comma list of positive integers, each field read by
+/// parse_positive_int: an empty list, an empty field ("2,,8") and a trailing
+/// comma are errors.
+[[nodiscard]] inline std::vector<int> parse_positive_int_csv(const std::string& token,
+                                                             const std::string& what) {
+  std::vector<int> values;
+  for (const std::string& field : split_commas(token)) {
+    values.push_back(parse_positive_int(field, what));
+  }
+  return values;
 }
 
 /// Strict comma list of `min_fields`..`max_fields` signed integers, as the

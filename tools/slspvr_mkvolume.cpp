@@ -30,13 +30,6 @@ vol::Dims parse_dims(const std::string& token) {
                    tools::parse_positive_int(fields[2], "--dims")};
 }
 
-/// --scale: a strict finite number, > 0.
-double parse_scale(const std::string& token) {
-  const double scale = tools::parse_finite_float(token, "--scale");
-  if (!(scale > 0.0)) throw tools::ParseError("--scale: '" + token + "' must be > 0");
-  return scale;
-}
-
 int run_tool(int argc, char** argv) {
   std::optional<vol::DatasetKind> dataset;
   std::optional<std::string> import_path;
@@ -74,7 +67,7 @@ int run_tool(int argc, char** argv) {
     } else if (a == "--scale") {
       const char* token = next();
       if (token == nullptr) return 2;
-      scale = parse_scale(token);
+      scale = tools::parse_positive_double(token, "--scale");
     } else if (a == "--out") {
       const char* s = next();
       if (s == nullptr) return 2;

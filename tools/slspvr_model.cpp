@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "model/replay.hpp"
 #include "model/scenarios.hpp"
 
@@ -38,8 +39,9 @@ void usage(const char* argv0) {
       "                    checker finds a counterexample for each (and that\n"
       "                    every mutant is paired with some scenario)\n"
       "  --max-workers N   scenario worker-count ceiling, 2..4 (default 4)\n"
-      "  --max-states N    visited-state budget per run (default 2000000)\n"
-      "  --max-seconds S   wall-clock budget per run (default 120)\n"
+      "  --max-states N    visited-state budget per run, 1000..1000000000\n"
+      "                    (default 2000000)\n"
+      "  --max-seconds S   wall-clock budget per run, 1..86400 (default 120)\n"
       "  --no-por          disable the sleep-set reduction (debugging aid)\n"
       "  --replay          replay derived schedules against the real runtime\n"
       "  --trace-dir DIR   write counterexample traces to DIR/<name>.trace\n"
@@ -58,12 +60,15 @@ struct Cli {
   bool verbose = false;
 };
 
-bool parse_int(const char* s, long min, long max, long& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < min || v > max) return false;
-  out = v;
-  return true;
+/// A numeric flag's value: cli_parse.hpp's strict whole-token integer, then
+/// the flag's range.
+int parse_in_range(const std::string& token, const std::string& flag, int min, int max) {
+  const int value = tools::parse_positive_int(token, flag);
+  if (value < min || value > max) {
+    throw tools::ParseError(flag + ": '" + token + "' is not in " + std::to_string(min) + ".." +
+                            std::to_string(max));
+  }
+  return value;
 }
 
 void write_trace(const Cli& cli, const std::string& name,
@@ -107,7 +112,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    long v = 0;
+    const auto int_flag = [&](int min, int max) {
+      try {
+        return parse_in_range(next(), arg, min, max);
+      } catch (const tools::ParseError& e) {
+        std::fprintf(stderr, "slspvr-model: %s\n", e.what());
+        std::exit(2);
+      }
+    };
     if (std::strcmp(arg, "--all-scenarios") == 0) {
       cli.all = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
@@ -116,23 +128,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--mutants") == 0) {
       cli.mutants = true;
     } else if (std::strcmp(arg, "--max-workers") == 0) {
-      if (!parse_int(next(), 2, model::kMaxWorkers, v)) {
-        std::fprintf(stderr, "--max-workers must be 2..%d\n", model::kMaxWorkers);
-        return 2;
-      }
-      cli.max_workers = static_cast<int>(v);
+      cli.max_workers = int_flag(2, model::kMaxWorkers);
     } else if (std::strcmp(arg, "--max-states") == 0) {
-      if (!parse_int(next(), 1000, 1000000000L, v)) {
-        std::fprintf(stderr, "--max-states must be 1000..1e9\n");
-        return 2;
-      }
-      cli.limits.max_states = static_cast<std::uint64_t>(v);
+      cli.limits.max_states = static_cast<std::uint64_t>(int_flag(1000, 1000000000));
     } else if (std::strcmp(arg, "--max-seconds") == 0) {
-      if (!parse_int(next(), 1, 86400, v)) {
-        std::fprintf(stderr, "--max-seconds must be 1..86400\n");
-        return 2;
-      }
-      cli.limits.max_seconds = static_cast<double>(v);
+      cli.limits.max_seconds = int_flag(1, 86400);
     } else if (std::strcmp(arg, "--no-por") == 0) {
       cli.limits.por = false;
     } else if (std::strcmp(arg, "--replay") == 0) {

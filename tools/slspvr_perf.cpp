@@ -67,15 +67,6 @@ struct PerfOptions {
   std::exit(code);
 }
 
-/// A comma list of positive integers, each field strict.
-std::vector<int> parse_positive_list(const std::string& token, const std::string& what) {
-  std::vector<int> values;
-  for (const std::string& field : tools::split_commas(token)) {
-    values.push_back(tools::parse_positive_int(field, what));
-  }
-  return values;
-}
-
 /// Throws tools::ParseError on a malformed or out-of-range value, and on
 /// --smoke together with a flag whose value --smoke would replace.
 PerfOptions parse_args(int argc, char** argv) {
@@ -92,11 +83,11 @@ PerfOptions parse_args(int argc, char** argv) {
     } else if (arg == "--out") {
       opt.out = next();
     } else if (arg == "--sizes") {
-      opt.sizes = parse_positive_list(next(), "--sizes");
+      opt.sizes = tools::parse_positive_int_csv(next(), "--sizes");
       sweep_flag = true;
     } else if (arg == "--ranks") {
       const std::string token = next();
-      opt.ranks = parse_positive_list(token, "--ranks");
+      opt.ranks = tools::parse_positive_int_csv(token, "--ranks");
       for (const int r : opt.ranks) {
         if (!std::has_single_bit(static_cast<unsigned>(r))) {
           throw tools::ParseError("--ranks: '" + token + "' has " + std::to_string(r) +
