@@ -151,7 +151,7 @@ CommSchedule fold_schedule(std::string_view method, int ranks, const CommSchedul
   s.pairwise = false;  // the pre-stage fold messages are one-directional
   s.per_rank.resize(static_cast<std::size_t>(ranks));
   s.final_gather.assign(static_cast<std::size_t>(ranks),
-                        SizeBound{PayloadClass::kNone, RegionSpec{}, 64, 0});
+                        SizeBound{PayloadClass::kNone, RegionSpec{}, kGatherHeaderBytes, 0});
   // BSBRC-style whole-frame ship: rect header + RLE codes + non-blank pixels.
   const SizeBound pre_bound{PayloadClass::kNonBlank, RegionSpec{0, 1, false, {}}, 12, 18};
 

@@ -146,4 +146,10 @@ void append_final_gather(CommSchedule& schedule, int root = 0);
 inline constexpr int kFoldTag = 800;    // matches core/fold.cpp
 inline constexpr int kGatherTag = 900;  // matches core/gather.cpp
 
+/// The gather's wire sizes (core/gather.cpp asserts them): every piece
+/// starts with a 44-byte header, and a rectangle piece's row-span table
+/// (core::wire::pack_row_spans) costs 8 bytes per rectangle row.
+inline constexpr std::int64_t kGatherHeaderBytes = 44;
+inline constexpr std::int64_t kGatherRowBytes = 8;
+
 }  // namespace slspvr::check

@@ -70,9 +70,10 @@ void composite_raw_rect_view(DecodeSink& sink, const img::Rect& rect, img::Unpac
 
 /// Blend one band of an interleaved-RLE message: the strided equivalent of
 /// kern::composite_rle_span, reproducing the per-run gather → composite_span
-/// → scatter arithmetic of the reference wire::composite_rle_strided over
-/// the band's elements (runs split at band boundaries change only the
-/// chunking, not any pixel's arithmetic). Returns the pixels composited.
+/// → scatter arithmetic of the reference composite_rle_strided
+/// (tests/reference_decoders.hpp) over the band's elements (runs split at
+/// band boundaries change only the chunking, not any pixel's arithmetic).
+/// Returns the pixels composited.
 std::int64_t composite_rle_strided_band(img::Image& image, const img::InterleavedRange& range,
                                         const wire::RleView& view, img::kern::RleCursor cur,
                                         std::int64_t pos, std::int64_t n, bool in_front,

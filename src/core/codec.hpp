@@ -69,9 +69,10 @@ class PayloadCodec {
   /// frame straight out of the receive buffer (no unpacked intermediate),
   /// band-parallel across the sink's engine pool by rectangle rows. Returns
   /// the rectangle the message actually covered (for trackers). Byte- and
-  /// counter-identical to the per-message reference decoders in core/wire
-  /// at any worker count: bands only repartition who blends which pixels,
-  /// never a pixel's arithmetic or its order.
+  /// counter-identical to the tests' per-message reference decoders
+  /// (tests/reference_decoders.hpp) at any worker count: bands only
+  /// repartition who blends which pixels, never a pixel's arithmetic or its
+  /// order.
   virtual img::Rect decode_rect(DecodeSink& sink, const img::Rect& part,
                                 img::UnpackBuffer& in) const;
 

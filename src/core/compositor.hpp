@@ -1,7 +1,9 @@
 // Compositor interface: the contract every compositing method implements.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "check/schedule.hpp"
@@ -10,6 +12,7 @@
 #include "core/plan.hpp"
 #include "image/image.hpp"
 #include "image/interleave.hpp"
+#include "image/pack.hpp"
 #include "mp/communicator.hpp"
 
 namespace slspvr::core {
@@ -90,8 +93,21 @@ class Compositor {
 /// Assemble the final image at `root` from each rank's owned piece. Traffic
 /// is tagged stage 0 (outside the measured compositing phase, matching the
 /// paper, which times compositing up to the point the full image exists
-/// distributed across PEs).
+/// distributed across PEs). Each rank ships one pack_gather_piece message,
+/// which the root places with place_gather_piece.
 [[nodiscard]] img::Image gather_final(mp::Comm& comm, const img::Image& local,
                                       const Ownership& ownership, int root = 0);
+
+/// Append one rank's gather message to `buf`: a check::kGatherHeaderBytes
+/// header, then a rectangle's row spans (core::wire::pack_row_spans), an
+/// interleaved progression's pixels in order, or nothing (kFullAtRoot).
+void pack_gather_piece(const img::Image& local, const Ownership& ownership,
+                       img::PackBuffer& buf);
+
+/// Place one gather message into the root's frame `out`, which must be zero
+/// over the piece (freshly allocated). Throws img::DecodeError, before any
+/// pixel is written, when the header's rectangle or interleaved range leaves
+/// the frame, its kind is unknown or the payload is short.
+void place_gather_piece(std::span<const std::byte> bytes, img::Image& out);
 
 }  // namespace slspvr::core

@@ -92,9 +92,9 @@ void composite_own_range(WorkerPool& pool, img::Image& result, const img::Image&
 /// progression of `elems` contiguous into `dst` (the compaction) and, when a
 /// message arrived, blend its RLE payload over `dst` in place. Both steps
 /// band across the pool; each element's gather and blend arithmetic is
-/// exactly the reference wire::composite_rle_strided's, so the compacted
-/// array equals the frame values the in-place engine would hold at those
-/// positions.
+/// exactly the reference composite_rle_strided's
+/// (tests/reference_decoders.hpp), so the compacted array equals the frame
+/// values the in-place engine would hold at those positions.
 /// Returns the number of pixels composited (the non-blank payload total).
 std::int64_t soa_compact_blend(WorkerPool& pool, const img::Pixel* elems,
                                const img::InterleavedRange& ekeep, const wire::RleView* view,

@@ -359,19 +359,22 @@ check::CommSchedule derive_schedule(const ExchangePlan& plan, const WireTraits& 
           break;
       }
     }
-    // Final ownership, shipped in the out-of-phase gather.
+    // Final ownership, shipped in the out-of-phase gather: the header, then
+    // at worst every pixel of the region plus a rectangle's row-span table
+    // (scalar regions have no rows, so the row term vanishes for them).
+    const auto piece = [](const check::RegionSpec& spec) {
+      return check::SizeBound{check::PayloadClass::kFullRegion, spec, check::kGatherHeaderBytes,
+                              16, check::kGatherRowBytes};
+    };
     check::SizeBound gather;
     if (plan.split == SplitRule::kGather) {
-      gather = state.retired
-                   ? check::SizeBound{check::PayloadClass::kNone, check::RegionSpec{}, 64, 0}
-                   : check::SizeBound{check::PayloadClass::kFullRegion, check::RegionSpec{}, 64,
-                                      16};
+      gather = state.retired ? check::SizeBound{check::PayloadClass::kNone, check::RegionSpec{},
+                                                check::kGatherHeaderBytes, 0}
+                             : piece(check::RegionSpec{});
     } else if (plan.split == SplitRule::kRing) {
-      gather = check::SizeBound{check::PayloadClass::kFullRegion,
-                                check::RegionSpec{0, plan.ranks, false, {}}, 64, 16};
+      gather = piece(check::RegionSpec{0, plan.ranks, false, {}});
     } else {
-      gather = check::SizeBound{check::PayloadClass::kFullRegion,
-                                make_spec(state, traits.scalar), 64, 16};
+      gather = piece(make_spec(state, traits.scalar));
     }
     s.final_gather[static_cast<std::size_t>(r)] = gather;
   }

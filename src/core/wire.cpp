@@ -1,8 +1,6 @@
 #include "core/wire.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,11 +10,10 @@ namespace slspvr::core::wire {
 
 namespace {
 
-/// Staging area for the strided encode and the reference strided blend:
-/// interleaved progressions are gathered contiguous here so the batched
-/// classify/composite kernels can run over them (the blend then scatters
-/// them back). One arena per calling thread, so concurrent ranks never
-/// share it; the codecs' band-parallel decoders use the explicit per-worker
+/// Staging area for the strided encode: interleaved progressions are
+/// gathered contiguous here so the batched classify kernel can run over
+/// them. One arena per calling thread, so concurrent ranks never share it;
+/// the codecs' band-parallel decoders use the explicit per-worker
 /// EngineScratch instead.
 std::vector<img::Pixel>& strided_scratch(std::int64_t count) {
   thread_local std::vector<img::Pixel> scratch;
@@ -143,9 +140,9 @@ RleView parse_rle_view(img::UnpackBuffer& buf, std::int64_t expected_length,
                        std::vector<img::Pixel>& pixel_bounce,
                        std::vector<std::uint16_t>& code_bounce) {
   // Prescan the code section in place (memcpy per 2-byte code — alignment-
-  // agnostic) to find where it ends, exactly mirroring parse_rle: stop as
-  // soon as the total reaches the expected length, throw on overshoot, and
-  // let truncation surface as a short read.
+  // agnostic) to find where it ends, exactly mirroring the reference
+  // parse_rle: stop as soon as the total reaches the expected length, throw
+  // on overshoot, and let truncation surface as a short read.
   const std::span<const std::byte> rest = buf.peek_remaining();
   std::size_t ncodes = 0;
   std::int64_t total = 0;
@@ -186,7 +183,7 @@ SpanView parse_spans_view(img::UnpackBuffer& buf, const img::Rect& rect,
   const auto height = static_cast<std::size_t>(rect.height());
   // row_counts and spans are 2-byte-aligned by construction (they follow an
   // 8-byte header and 2-byte-multiple sections), so these views never
-  // bounce; the DecodeError checks match parse_spans exactly.
+  // bounce; the DecodeError checks match the reference parse_spans exactly.
   const std::span<const std::byte> counts_bytes = buf.get_bytes(height * sizeof(std::uint16_t));
   thread_local std::vector<std::uint16_t> counts_bounce;
   view.row_counts = typed_view(counts_bytes, height, counts_bounce);
@@ -213,142 +210,83 @@ SpanView parse_spans_view(img::UnpackBuffer& buf, const img::Rect& rect,
   return view;
 }
 
-// ---- per-message reference decoders ----------------------------------------
+// ---- row-span image codec --------------------------------------------------
 
-void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::UnpackBuffer& buf,
-                           bool incoming_in_front, Counters& counters) {
-  for (int y = rect.y0; y < rect.y1; ++y) {
-    const auto row = buf.get_vector<img::Pixel>(static_cast<std::size_t>(rect.width()));
-    img::kern::composite_span(&image.at(rect.x0, y), row.data(), rect.width(),
-                              incoming_in_front);
+namespace {
+
+/// True when all 16 bytes of `p` are zero (the codec's blank test).
+bool zero_bytes(const img::Pixel& p) noexcept {
+  std::uint64_t half[2] = {};
+  std::memcpy(half, &p, sizeof half);
+  return (half[0] | half[1]) == 0;
+}
+
+/// The span between the first and last pixel of `row` with a non-zero byte.
+RowSpan nonzero_span(const img::Pixel* row, int width) noexcept {
+  int first = 0;
+  while (first < width && zero_bytes(row[first])) ++first;
+  if (first == width) return {};
+  int last = width;
+  while (zero_bytes(row[last - 1])) --last;
+  return {static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(last - first)};
+}
+
+}  // namespace
+
+void pack_row_spans(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf) {
+  const auto rows = static_cast<std::size_t>(rect.height());
+  std::vector<RowSpan> table(rows);
+  std::size_t pixels = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    table[i] = nonzero_span(&image.at(rect.x0, rect.y0 + static_cast<int>(i)), rect.width());
+    pixels += table[i].length;
   }
-  counters.over_ops += rect.area();
-  counters.pixels_received += rect.area();
-}
-
-img::Rle parse_rle(img::UnpackBuffer& buf, std::int64_t expected_length) {
-  img::Rle rle;
-  rle.length = expected_length;
-  std::int64_t total = 0;
-  std::int64_t foreground = 0;
-  bool blank = true;
-  while (total < expected_length) {
-    const auto code = buf.get<std::uint16_t>();
-    rle.codes.push_back(code);
-    total += code;
-    if (!blank) foreground += code;
-    blank = !blank;
+  buf.reserve(buf.size() + rows * sizeof(RowSpan) + pixels * sizeof(img::Pixel));
+  buf.put_span(std::span<const RowSpan>(table));
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int y = rect.y0 + static_cast<int>(i);
+    buf.put_span(std::span<const img::Pixel>(
+        &image.at(rect.x0 + static_cast<int>(table[i].offset), y), table[i].length));
   }
-  if (total != expected_length) {
-    throw img::DecodeError("parse_rle: codes overshoot the expected length (" +
-                           std::to_string(total) + " > " + std::to_string(expected_length) +
-                           ")");
+}
+
+void unpack_row_spans(img::UnpackBuffer& buf, const img::Rect& rect, img::Image& out) {
+  if (!out.bounds().contains(rect)) {
+    throw img::DecodeError("unpack_row_spans: rectangle [" + std::to_string(rect.x0) + "," +
+                           std::to_string(rect.y0) + "," + std::to_string(rect.x1) + "," +
+                           std::to_string(rect.y1) + ") escapes the " +
+                           std::to_string(out.width()) + "x" + std::to_string(out.height()) +
+                           " frame");
   }
-  rle.pixels = buf.get_vector<img::Pixel>(static_cast<std::size_t>(foreground));
-  return rle;
-}
-
-void composite_rle_rect(img::Image& image, const img::Rect& rect, const img::Rle& rle,
-                        bool incoming_in_front, Counters& counters) {
-  const int w = rect.width();
-  std::int64_t composited = 0;
-  // Whole runs at a time, split only where a run crosses a rectangle row.
-  img::rle_for_each_non_blank_run(
-      rle, [&](std::int64_t pos, std::int64_t len, const img::Pixel* pixels) {
-        while (len > 0) {
-          const int x = rect.x0 + static_cast<int>(pos % w);
-          const int y = rect.y0 + static_cast<int>(pos / w);
-          const std::int64_t chunk = std::min<std::int64_t>(len, rect.x1 - x);
-          img::kern::composite_span(&image.at(x, y), pixels, chunk, incoming_in_front);
-          pos += chunk;
-          pixels += chunk;
-          len -= chunk;
-          composited += chunk;
-        }
-      });
-  counters.over_ops += composited;
-  counters.pixels_received += composited;
-}
-
-void composite_rle_strided(img::Image& image, const img::InterleavedRange& range,
-                           const img::Rle& rle, bool incoming_in_front, Counters& counters) {
-  std::int64_t composited = 0;
-  // Per run: gather the local strided pixels contiguous, blend the whole
-  // run with the span kernel, scatter the result back (O(non-blank) work).
-  img::rle_for_each_non_blank_run(
-      rle, [&](std::int64_t pos, std::int64_t len, const img::Pixel* pixels) {
-        std::vector<img::Pixel>& scratch = strided_scratch(len);
-        const std::int64_t offset = range.index(pos);
-        img::kern::gather_strided(image.pixels().data(), offset, range.stride, len,
-                                  scratch.data());
-        img::kern::composite_span(scratch.data(), pixels, len, incoming_in_front);
-        img::kern::scatter_strided(scratch.data(), len, image.pixels().data(), offset,
-                                   range.stride);
-        composited += len;
-      });
-  counters.over_ops += composited;
-  counters.pixels_received += composited;
-}
-
-img::SpanImage parse_spans(img::UnpackBuffer& buf, const img::Rect& rect) {
-  img::SpanImage spans;
-  spans.rect = rect;
-  if (rect.empty()) return spans;
-  spans.row_counts = buf.get_vector<std::uint16_t>(static_cast<std::size_t>(rect.height()));
-  std::size_t total_spans = 0;
-  for (const auto c : spans.row_counts) total_spans += c;
-  spans.spans = buf.get_vector<img::Span>(total_spans);
-  // A corrupted span must not index outside the rectangle when composited.
-  for (const img::Span& s : spans.spans) {
-    if (static_cast<int>(s.x) + static_cast<int>(s.len) > rect.width()) {
-      throw img::DecodeError("parse_spans: span [" + std::to_string(s.x) + "+" +
-                             std::to_string(s.len) + "] exceeds rectangle width " +
-                             std::to_string(rect.width()));
+  const auto rows = static_cast<std::size_t>(rect.height());
+  const auto width = static_cast<std::uint32_t>(rect.width());
+  thread_local std::vector<RowSpan> table_bounce;
+  const RowSpan* table =
+      typed_view(buf.get_bytes(rows * sizeof(RowSpan)), rows, table_bounce);
+  std::size_t pixels = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (table[i].offset > width || table[i].length > width - table[i].offset) {
+      throw img::DecodeError("unpack_row_spans: span [" + std::to_string(table[i].offset) +
+                             "+" + std::to_string(table[i].length) +
+                             "] exceeds rectangle width " + std::to_string(width));
     }
+    pixels += table[i].length;
   }
-  std::size_t total_pixels = 0;
-  for (const auto& s : spans.spans) total_pixels += s.len;
-  spans.pixels = buf.get_vector<img::Pixel>(total_pixels);
-  return spans;
-}
-
-void composite_spans(img::Image& image, const img::SpanImage& spans,
-                     bool incoming_in_front, Counters& counters) {
-  const std::int64_t ops = img::span_composite(image, spans, incoming_in_front);
-  counters.over_ops += ops;
-  counters.pixels_received += ops;
-}
-
-img::Rect unpack_composite_raw_rect(img::Image& image, img::UnpackBuffer& buf,
-                                    const img::Rect& bounds, bool incoming_in_front,
-                                    Counters& counters) {
-  const img::Rect rect = parse_rect(buf, bounds);
-  if (!rect.empty()) {
-    unpack_composite_rect(image, rect, buf, incoming_in_front, counters);
+  if (pixels > buf.remaining() / sizeof(img::Pixel)) {
+    throw img::DecodeError("unpack_row_spans: short read (" + std::to_string(pixels) +
+                           " span pixels, " + std::to_string(buf.remaining()) + " bytes left)");
   }
-  return rect;
-}
-
-img::Rect unpack_composite_rle_rect(img::Image& image, img::UnpackBuffer& buf,
-                                    const img::Rect& bounds, bool incoming_in_front,
-                                    Counters& counters) {
-  const img::Rect rect = parse_rect(buf, bounds);
-  if (!rect.empty()) {
-    const img::Rle incoming = parse_rle(buf, rect.area());
-    composite_rle_rect(image, rect, incoming, incoming_in_front, counters);
+  thread_local std::vector<img::Pixel> pixel_bounce;
+  const img::Pixel* src =
+      typed_view(buf.get_bytes(pixels * sizeof(img::Pixel)), pixels, pixel_bounce);
+  // Each placed span is written once and not re-read this frame: stream it.
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (table[i].length == 0) continue;
+    const int y = rect.y0 + static_cast<int>(i);
+    img::kern::copy_span_nt(&out.at(rect.x0 + static_cast<int>(table[i].offset), y), src,
+                            table[i].length);
+    src += table[i].length;
   }
-  return rect;
-}
-
-img::Rect unpack_composite_span_rect(img::Image& image, img::UnpackBuffer& buf,
-                                     const img::Rect& bounds, bool incoming_in_front,
-                                     Counters& counters) {
-  const img::Rect rect = parse_rect(buf, bounds);
-  if (!rect.empty()) {
-    const img::SpanImage incoming = parse_spans(buf, rect);
-    composite_spans(image, incoming, incoming_in_front, counters);
-  }
-  return rect;
 }
 
 }  // namespace slspvr::core::wire

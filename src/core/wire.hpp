@@ -2,7 +2,7 @@
 // run-length encoded rectangles, scanline spans and run-length encoded
 // interleaved ranges into send buffers; zero-copy views that the codecs'
 // decoders (core/codec.hpp) blend straight out of receive buffers; and the
-// per-message reference decoders those views are checked against.
+// row-span codec of the final image (gather pieces and image reports).
 #pragma once
 
 #include <cstddef>
@@ -81,11 +81,13 @@ void pack_span_rect(const img::Image& image, const img::Rect& rect, img::PackBuf
 // The codecs' decoders blend straight out of the receive buffer, so instead
 // of materializing img::Rle / img::SpanImage (allocating and copying codes
 // and pixels) they take zero-copy *views* of the payload. Validation is the
-// same as the reference parsers below — truncation, overshooting code
+// same as the reference parsers' — truncation, overshooting code
 // totals, out-of-frame rectangles and out-of-rect spans all throw
 // img::DecodeError before any pixel is touched. Pixel payloads land 2-mod-4
 // whenever an odd number of 2-byte codes precedes them; a misaligned section
-// is copied once into the caller's bounce vector.
+// is copied once into the caller's bounce vector. The per-message reference
+// decoders these views are held to live with the tests
+// (tests/reference_decoders.hpp).
 
 /// Parse an 8-byte wire rectangle and validate it against `bounds`: the
 /// rectangle must be empty or well-formed and fully inside `bounds`.
@@ -131,62 +133,36 @@ struct SpanView {
   std::int64_t non_blank = 0;
 };
 
-/// Parse a span view for `rect` (same validation as parse_spans).
+/// Parse a span view for `rect` (the reference parse_spans's validation).
 [[nodiscard]] SpanView parse_spans_view(img::UnpackBuffer& buf, const img::Rect& rect,
                                         std::vector<img::Pixel>& pixel_bounce);
 
-// ---- per-message reference decoders ----------------------------------------
-// Unpack-then-blend decoders: each materializes the message (img::Rle,
-// img::SpanImage, a row vector) and then blends it one run or row at a time
-// on the calling thread. Nothing in the engine calls them. They are the
-// oracle the codecs' streaming decoders are held to, as
-// render::render_brick_reference is for the ray caster:
-// tests/test_streaming_decode.cpp requires byte- and counter-identical
-// results per message, and tests/test_decode_fuzz.cpp feeds both mutated
-// bytes.
+// ---- row-span image codec --------------------------------------------------
+// The lossless format of the final image's byte path: core::gather_final's
+// rectangle pieces and pvr::write_image's worker image reports. Per row of
+// the rectangle, the span between its first and last pixel whose 16 bytes
+// are not all zero; then those spans' pixels verbatim, row after row. The
+// test is on bytes, not img::is_blank, so a pixel with alpha 0 and a
+// non-zero colour, a -0.0 or a NaN payload still round-trips. Wire bytes:
+// exactly 8 per row plus 16 per span pixel.
 
-/// Composite raw rect pixels from `buf` into `image` over `rect`.
-/// Every pixel of the rectangle costs one over op (the BSBR disadvantage:
-/// blank pixels inside the rectangle are shipped and composited too).
-void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::UnpackBuffer& buf,
-                           bool incoming_in_front, Counters& counters);
+/// One row's entry of the span table: `length` pixels from rect.x0 +
+/// `offset`; {0, 0} for a row whose bytes are all zero.
+struct RowSpan {
+  std::uint32_t offset = 0;
+  std::uint32_t length = 0;
+};
+static_assert(sizeof(RowSpan) == 8, "a row costs 8 bytes on the wire");
 
-/// Parse an Rle representing `expected_length` pixels from `buf`.
-/// Throws img::DecodeError when the codes overshoot the expected sequence
-/// length or the buffer is truncated — never reads out of bounds.
-[[nodiscard]] img::Rle parse_rle(img::UnpackBuffer& buf, std::int64_t expected_length);
+/// Append the row-span encoding of `rect` of `image` to `buf`: the span
+/// table (rect.height() entries), then the span pixels.
+void pack_row_spans(const img::Image& image, const img::Rect& rect, img::PackBuffer& buf);
 
-/// Composite an Rle whose sequence is the row-major scan of `rect`.
-/// Only non-blank pixels are composited (one over op each).
-void composite_rle_rect(img::Image& image, const img::Rect& rect, const img::Rle& rle,
-                        bool incoming_in_front, Counters& counters);
-
-/// Composite an Rle whose sequence is the interleaved progression `range`.
-void composite_rle_strided(img::Image& image, const img::InterleavedRange& range,
-                           const img::Rle& rle, bool incoming_in_front, Counters& counters);
-
-/// Parse a SpanImage for the known `rect` from `buf`.
-[[nodiscard]] img::SpanImage parse_spans(img::UnpackBuffer& buf, const img::Rect& rect);
-
-/// Composite the span pixels into `image` (over ops = non-blank count).
-void composite_spans(img::Image& image, const img::SpanImage& spans,
-                     bool incoming_in_front, Counters& counters);
-
-/// Parse a pack_raw_rect message and composite it into `image`. The header
-/// rectangle is validated against `bounds` before any pixel is touched.
-/// Returns the received rectangle (empty when the sender had nothing).
-[[nodiscard]] img::Rect unpack_composite_raw_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                  const img::Rect& bounds,
-                                                  bool incoming_in_front, Counters& counters);
-
-/// Parse a pack_rle_rect message and composite its non-blank pixels.
-[[nodiscard]] img::Rect unpack_composite_rle_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                  const img::Rect& bounds,
-                                                  bool incoming_in_front, Counters& counters);
-
-/// Parse a pack_span_rect message and composite its span pixels.
-[[nodiscard]] img::Rect unpack_composite_span_rect(img::Image& image, img::UnpackBuffer& buf,
-                                                   const img::Rect& bounds,
-                                                   bool incoming_in_front, Counters& counters);
+/// Decode a pack_row_spans message of `rect` from `buf` into `out`, whose
+/// pixels over `rect` must be zero (a freshly allocated image): pixels
+/// outside the spans are left as they are. Throws img::DecodeError before
+/// any pixel is written when `rect` leaves `out`, a span leaves `rect` or
+/// the buffer is short.
+void unpack_row_spans(img::UnpackBuffer& buf, const img::Rect& rect, img::Image& out);
 
 }  // namespace slspvr::core::wire

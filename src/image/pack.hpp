@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace slspvr::img {
@@ -48,6 +49,8 @@ class PackBuffer {
   /// held capacity dead weight.
   void reset() noexcept { data_ = std::vector<std::byte>(); }
   void reserve(std::size_t n) { data_.reserve(n); }
+  /// Move the bytes out, leaving the buffer empty.
+  [[nodiscard]] std::vector<std::byte> take() noexcept { return std::exchange(data_, {}); }
 
  private:
   void append(const void* src, std::size_t n) {

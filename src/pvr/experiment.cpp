@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <tuple>
 
 #include "core/binary_tree.hpp"
 #include "core/engine.hpp"
@@ -152,6 +153,12 @@ MethodResult run_compositing(const core::Compositor& method,
   return std::move(attempt.result);
 }
 
+void FaultReport::order_events() {
+  std::stable_sort(events.begin(), events.end(), [](const FaultEvent& a, const FaultEvent& b) {
+    return std::tuple(a.attempt, !a.primary, a.rank) < std::tuple(b.attempt, !b.primary, b.rank);
+  });
+}
+
 std::string FaultReport::summary() const {
   std::string healed;
   if (retry_stats.naks > 0 || retry_stats.retransmits > 0) {
@@ -222,6 +229,7 @@ FtMethodResult run_compositing_ft(const core::Compositor& method,
     out.report.events.push_back({f.rank, f.stage, f.primary, /*attempt=*/0, f.what});
     if (f.primary) failed[static_cast<std::size_t>(f.rank)] = true;
   }
+  // recover_frame orders the events, these attempt-0 ones included.
   return recover_frame(method, subimages, order, model, store, std::move(failed),
                        std::move(out.report), arena);
 }

@@ -135,6 +135,13 @@ struct FaultReport {
 
   /// One-line human-readable digest ("2 PE(s) failed ... finished degraded").
   [[nodiscard]] std::string summary() const;
+
+  /// Put `events` in one order — by attempt, primaries first, then rank — so
+  /// the table does not depend on the order in which ranks' threads or
+  /// processes reported their aborts (a secondary's stage still can: it is
+  /// wherever that rank was when the failure reached it). Stable, so one
+  /// rank's events keep their relative order.
+  void order_events();
 };
 
 struct MethodResult {

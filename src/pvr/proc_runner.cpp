@@ -486,6 +486,7 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       ft = recover_frame(resolved, subs, partition.order, base.cost_model, dec.store,
                          std::move(failed), std::move(ft.report));
     }
+    ft.report.order_events();
 
     out.report.faulted = out.report.faulted || ft.report.faulted;
     out.report.degraded = out.report.degraded || ft.report.degraded;

@@ -325,6 +325,7 @@ FtMethodResult recover_frame(const core::Compositor& method,
                                  resume_state->region[static_cast<std::size_t>(r)]);
       }
     }
+    out.report.order_events();
     return out;
   }
 
@@ -382,6 +383,7 @@ FtMethodResult recover_frame(const core::Compositor& method,
     out.report.pixels_lost += img::count_non_blank(subimages[static_cast<std::size_t>(r)],
                                                    subimages[static_cast<std::size_t>(r)].bounds());
   }
+  out.report.order_events();
   return out;
 }
 

@@ -5,14 +5,16 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "core/wire.hpp"
+
 namespace slspvr::pvr {
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
+  for (int i = 0; i < 4; ++i) out_.put(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
+  for (int i = 0; i < 8; ++i) out_.put(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
 }
 
 void ByteWriter::f32(float v) {
@@ -29,12 +31,7 @@ void ByteWriter::f64(double v) {
 
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out_.insert(out_.end(), p, p + s.size());
-}
-
-void ByteWriter::bytes(std::span<const std::byte> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
+  bytes(std::as_bytes(std::span<const char>(s)));
 }
 
 void ByteReader::need(std::size_t n) const {
@@ -93,6 +90,11 @@ std::string ByteReader::str() {
   return s;
 }
 
+void ByteReader::skip(std::size_t n) {
+  need(n);
+  pos_ += n;
+}
+
 void ByteReader::bytes(std::span<std::byte> out) {
   need(out.size());
   if (out.empty()) return;  // memcpy must not see an empty span's null data()
@@ -100,7 +102,7 @@ void ByteReader::bytes(std::span<std::byte> out) {
   pos_ += out.size();
 }
 
-// The wire format is each pixel's r, g, b, a as little-endian float bit
+// The span pixels are each pixel's r, g, b, a as little-endian float bit
 // patterns, which is what a Pixel array holds on a little-endian host (the
 // SLP1 envelope layout assumes one too).
 static_assert(std::endian::native == std::endian::little,
@@ -111,14 +113,29 @@ static_assert(std::is_trivially_copyable_v<img::Pixel> && sizeof(img::Pixel) == 
 void write_image(ByteWriter& w, const img::Image& image) {
   w.i32(image.width());
   w.i32(image.height());
-  w.bytes(std::as_bytes(image.pixels()));
+  core::wire::pack_row_spans(image, image.bounds(), w.buffer());
 }
 
 img::Image read_image(ByteReader& r) {
   const int width = r.i32();
   const int height = r.i32();
-  img::Image image(width, height);  // throws on negative dims
-  r.bytes(std::as_writable_bytes(image.pixels()));
+  const img::Rect bounds{0, 0, width, height};
+  // Checked before the image is allocated: sane dimensions, and the row
+  // table (8 bytes per row) is all there.
+  if (width < 0 || height < 0 || width > kMaxImageSide || height > kMaxImageSide ||
+      static_cast<std::size_t>(bounds.height()) > r.remaining() / sizeof(core::wire::RowSpan)) {
+    throw std::out_of_range("read_image: bad " + std::to_string(width) + "x" +
+                            std::to_string(height) + " header with " +
+                            std::to_string(r.remaining()) + " byte(s) left");
+  }
+  img::Image image(width, height);
+  img::UnpackBuffer in(r.rest());
+  try {
+    core::wire::unpack_row_spans(in, bounds, image);
+  } catch (const img::DecodeError& e) {
+    throw std::out_of_range(std::string("read_image: ") + e.what());
+  }
+  r.skip(r.remaining() - in.remaining());
   return image;
 }
 

@@ -21,6 +21,7 @@
 
 #include "core/counters.hpp"
 #include "image/image.hpp"
+#include "image/pack.hpp"
 #include "image/rect.hpp"
 #include "mp/trace.hpp"
 
@@ -28,7 +29,7 @@ namespace slspvr::pvr {
 
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
+  void u8(std::uint8_t v) { out_.put(static_cast<std::byte>(v)); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
@@ -36,13 +37,14 @@ class ByteWriter {
   void f32(float v);  ///< bit pattern, not text — byte-exact round trip
   void f64(double v);
   void str(const std::string& s);
-  void bytes(std::span<const std::byte> data);
+  void bytes(std::span<const std::byte> data) { out_.put_span(data); }
+  /// The underlying buffer, for the wire codecs that append to one.
+  [[nodiscard]] img::PackBuffer& buffer() noexcept { return out_; }
 
-  [[nodiscard]] std::vector<std::byte> take() { return std::move(out_); }
-  [[nodiscard]] const std::vector<std::byte>& data() const noexcept { return out_; }
+  [[nodiscard]] std::vector<std::byte> take() { return out_.take(); }
 
  private:
-  std::vector<std::byte> out_;
+  img::PackBuffer out_;
 };
 
 class ByteReader {
@@ -61,6 +63,9 @@ class ByteReader {
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return remaining() == 0; }
+  /// The unread bytes, not consumed; skip() consumes them.
+  [[nodiscard]] std::span<const std::byte> rest() const noexcept { return data_.subspan(pos_); }
+  void skip(std::size_t n);
 
  private:
   std::span<const std::byte> data_;
@@ -69,12 +74,19 @@ class ByteReader {
   void need(std::size_t n) const;
 };
 
-/// Image as width, height, then width*height 16-byte pixels (4 float bit
-/// patterns each) — the round trip is bit-exact by construction. The pixel
-/// array crosses as one block copy: in memory it already is those bit
-/// patterns, little-endian.
+/// Image as width, height, then its row spans (core::wire::pack_row_spans):
+/// 8 bytes per row and the 16-byte pixels (4 float bit patterns each)
+/// between each row's first and last pixel with a non-zero byte — the round
+/// trip is bit-exact by construction. read_image checks the dimensions (at
+/// most kMaxImageSide each) and that the row table is there before it
+/// allocates the image, and throws std::out_of_range for any malformed or
+/// truncated encoding.
 void write_image(ByteWriter& w, const img::Image& image);
 [[nodiscard]] img::Image read_image(ByteReader& r);
+
+/// Largest width or height read_image accepts: the range of the int16 wire
+/// rectangle (img::WireRect), which bounds every frame the methods composite.
+inline constexpr int kMaxImageSide = 32767;
 
 void write_rect(ByteWriter& w, const img::Rect& rect);
 [[nodiscard]] img::Rect read_rect(ByteReader& r);

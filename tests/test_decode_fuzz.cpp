@@ -1,30 +1,38 @@
 // Deterministic decode fuzzing: seed-mutated byte buffers (random flips,
 // truncations, oversized length fields, appended garbage) pushed through
-// every wire.hpp decoder (the streaming views and the per-message
-// reference unpackers), every codec's decode (the path every frame takes)
-// on a 1-wide and a 3-wide engine, and the transport envelope parser. Each
-// decoder must either succeed or reject with its typed error — never read
-// out of bounds (the ASan/UBSan CI jobs turn any violation into a failure).
+// every wire.hpp decoder (the streaming views and the row-span codec), the
+// per-message reference unpackers (reference_decoders.hpp), every codec's
+// decode (the path every frame takes) on a 1-wide and a 3-wide engine, the
+// gather's piece placement, the worker image report reader and the
+// transport envelope parser. Each decoder must either succeed or reject
+// with its typed error — never read or write out of bounds (the ASan/UBSan
+// CI jobs turn any violation into a failure).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/codec.hpp"
+#include "core/compositor.hpp"
 #include "core/counters.hpp"
 #include "core/wire.hpp"
 #include "core/worker_pool.hpp"
 #include "mp/envelope.hpp"
 #include "mp/socket.hpp"
+#include "pvr/serialize.hpp"
+#include "reference_decoders.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
 namespace img = slspvr::img;
 namespace mp = slspvr::mp;
+namespace pvr = slspvr::pvr;
+namespace ref = slspvr::testing::ref;
 namespace wire = slspvr::core::wire;
 using slspvr::testing::make_subimages;
 
@@ -110,7 +118,7 @@ std::vector<FuzzTarget> make_targets() {
     targets.push_back({"parse_rle", {buf.bytes().begin(), buf.bytes().end()},
                        [](const std::vector<std::byte>& bytes) {
                          img::UnpackBuffer in(bytes);
-                         (void)wire::parse_rle(in, kRect.area());
+                         (void)ref::parse_rle(in, kRect.area());
                        }});
   }
   {
@@ -131,7 +139,7 @@ std::vector<FuzzTarget> make_targets() {
     targets.push_back({"parse_spans", {buf.bytes().begin(), buf.bytes().end()},
                        [](const std::vector<std::byte>& bytes) {
                          img::UnpackBuffer in(bytes);
-                         (void)wire::parse_spans(in, kRect);
+                         (void)ref::parse_spans(in, kRect);
                        }});
     targets.push_back({"parse_spans_view", {buf.bytes().begin(), buf.bytes().end()},
                        [](const std::vector<std::byte>& bytes) {
@@ -148,7 +156,7 @@ std::vector<FuzzTarget> make_targets() {
                          img::Image image(kBounds.x1, kBounds.y1);
                          core::Counters c;
                          img::UnpackBuffer in(bytes);
-                         wire::unpack_composite_rect(image, kRect, in, true, c);
+                         ref::unpack_composite_rect(image, kRect, in, true, c);
                        }});
   }
   {
@@ -159,7 +167,7 @@ std::vector<FuzzTarget> make_targets() {
                          img::Image image(kBounds.x1, kBounds.y1);
                          core::Counters c;
                          img::UnpackBuffer in(bytes);
-                         (void)wire::unpack_composite_raw_rect(image, in, kBounds, true, c);
+                         (void)ref::unpack_composite_raw_rect(image, in, kBounds, true, c);
                        }});
   }
   {
@@ -170,7 +178,7 @@ std::vector<FuzzTarget> make_targets() {
                          img::Image image(kBounds.x1, kBounds.y1);
                          core::Counters c;
                          img::UnpackBuffer in(bytes);
-                         (void)wire::unpack_composite_rle_rect(image, in, kBounds, true, c);
+                         (void)ref::unpack_composite_rle_rect(image, in, kBounds, true, c);
                        }});
   }
   {
@@ -181,7 +189,7 @@ std::vector<FuzzTarget> make_targets() {
                          img::Image image(kBounds.x1, kBounds.y1);
                          core::Counters c;
                          img::UnpackBuffer in(bytes);
-                         (void)wire::unpack_composite_span_rect(image, in, kBounds, true, c);
+                         (void)ref::unpack_composite_span_rect(image, in, kBounds, true, c);
                        }});
   }
   // Every codec's decode into a fresh frame, through a 1-wide engine (the
@@ -218,6 +226,44 @@ std::vector<FuzzTarget> make_targets() {
                          img::UnpackBuffer in(bytes);
                          core::DecodeSink sink{image, true, c, *engine};
                          codec.decode_range(sink, kRange, in);
+                       }});
+  }
+  {
+    img::PackBuffer buf;
+    wire::pack_row_spans(source, kRect, buf);
+    targets.push_back({"unpack_row_spans", {buf.bytes().begin(), buf.bytes().end()},
+                       [](const std::vector<std::byte>& bytes) {
+                         img::Image image(kBounds.x1, kBounds.y1);
+                         img::UnpackBuffer in(bytes);
+                         wire::unpack_row_spans(in, kRect, image);
+                       }});
+  }
+  for (const core::Ownership& owned :
+       {core::Ownership::full_rect(kRect), core::Ownership::interleaved(kRange)}) {
+    img::PackBuffer buf;
+    core::pack_gather_piece(source, owned, buf);
+    targets.push_back({owned.kind == core::Ownership::Kind::kRect
+                           ? "place_gather_piece rect"
+                           : "place_gather_piece interleaved",
+                       {buf.bytes().begin(), buf.bytes().end()},
+                       [](const std::vector<std::byte>& bytes) {
+                         img::Image image(kBounds.x1, kBounds.y1);
+                         core::place_gather_piece(bytes, image);
+                       }});
+  }
+  {
+    pvr::ByteWriter w;
+    pvr::write_image(w, source);
+    targets.push_back({"read_image", std::move(w).take(),
+                       [](const std::vector<std::byte>& bytes) {
+                         // read_image's typed reject is std::out_of_range,
+                         // the error decode_reports drops a report for.
+                         pvr::ByteReader r(bytes);
+                         try {
+                           (void)pvr::read_image(r);
+                         } catch (const std::out_of_range& e) {
+                           throw img::DecodeError(e.what());
+                         }
                        }});
   }
   {

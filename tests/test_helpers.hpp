@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <random>
 #include <vector>
@@ -98,6 +100,25 @@ inline void expect_images_near(const img::Image& got, const img::Image& want,
       ASSERT_NEAR(g.a, w.a, tolerance) << "at (" << x << "," << y << ")";
     }
   }
+}
+
+/// Pixels the row-span codec ships for `rect` of `image`, counted here
+/// independently of core/wire: per row, from its first to its last pixel
+/// with a non-zero byte.
+inline std::int64_t row_span_pixels(const img::Image& image, const img::Rect& rect) {
+  const img::Pixel zero{};
+  std::int64_t total = 0;
+  for (int y = rect.y0; y < rect.y1; ++y) {
+    int first = rect.x1;
+    int last = rect.x0 - 1;
+    for (int x = rect.x0; x < rect.x1; ++x) {
+      if (std::memcmp(&image.at(x, y), &zero, sizeof zero) == 0) continue;
+      first = std::min(first, x);
+      last = x;
+    }
+    if (last >= first) total += last - first + 1;
+  }
+  return total;
 }
 
 }  // namespace slspvr::testing

@@ -5,10 +5,12 @@
 #include "core/plan_compositor.hpp"
 #include "core/wire.hpp"
 #include "image/spans.hpp"
+#include "reference_decoders.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
 namespace img = slspvr::img;
+namespace ref = slspvr::testing::ref;
 namespace wire = slspvr::core::wire;
 using slspvr::testing::expect_images_near;
 using slspvr::testing::make_default_order;
@@ -85,7 +87,7 @@ TEST(Spans, WirePackParseRoundTrip) {
   EXPECT_EQ(static_cast<std::int64_t>(buf.size()), spans.wire_bytes());
 
   img::UnpackBuffer in(buf.bytes());
-  const img::SpanImage parsed = wire::parse_spans(in, rect);
+  const img::SpanImage parsed = ref::parse_spans(in, rect);
   EXPECT_TRUE(in.exhausted());
   EXPECT_EQ(parsed.row_counts, spans.row_counts);
   EXPECT_EQ(parsed.spans, spans.spans);

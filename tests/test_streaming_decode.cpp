@@ -1,11 +1,12 @@
 // Streaming decode→composite identity: the codecs' decode_rect /
 // decode_range blend straight out of the receive buffer and promise
-// *byte*-identical frames and identical counters to core/wire's per-message
-// reference decoders, which unpack the message first and then blend it (the
-// "Legacy" of the case names) — for every codec, every part width
-// (including empty and the 0..33 sweep that crosses every vector-kernel
-// remainder case), both front orders, any worker fan-out, and RLE runs that
-// straddle both kMaxRun escape chains and band boundaries. The worker
+// *byte*-identical frames and identical counters to the per-message
+// reference decoders (reference_decoders.hpp), which unpack the message
+// first and then blend it (the "Legacy" of the case names) — for every
+// codec, every part width (including empty and the 0..33 sweep that
+// crosses every vector-kernel remainder case), both front orders, any
+// worker fan-out, and RLE runs that straddle both kMaxRun escape chains and
+// band boundaries. The worker
 // fan-out is explicit EngineContext state here — there are no process
 // globals to twiddle or restore. The suite closes with whole-frame identity
 // of the tile-parallel engine: every paper method at P ∈ {2,4,8} must
@@ -22,14 +23,14 @@
 #include "core/codec.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/plan_compositor.hpp"
-#include "core/wire.hpp"
 #include "core/worker_pool.hpp"
+#include "reference_decoders.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
 namespace img = slspvr::img;
 namespace pvr = slspvr::pvr;
-namespace wire = slspvr::core::wire;
+namespace ref = slspvr::testing::ref;
 using slspvr::testing::make_default_order;
 using slspvr::testing::make_subimages;
 using slspvr::testing::run_method;
@@ -42,21 +43,21 @@ core::EngineConfig engine_config(int workers) {
   return config;
 }
 
-/// The reference decode of one `kind` message covering `part`: core/wire's
+/// The reference decode of one `kind` message covering `part`: the
 /// unpack-then-blend decoder for that codec's wire format.
 img::Rect reference_decode_rect(core::CodecKind kind, img::Image& image, const img::Rect& part,
                                 img::UnpackBuffer& in, bool in_front,
                                 core::Counters& counters) {
   switch (kind) {
     case core::CodecKind::kFullPixel:
-      wire::unpack_composite_rect(image, part, in, in_front, counters);
+      ref::unpack_composite_rect(image, part, in, in_front, counters);
       return part;
     case core::CodecKind::kBoundingRect:
-      return wire::unpack_composite_raw_rect(image, in, image.bounds(), in_front, counters);
+      return ref::unpack_composite_raw_rect(image, in, image.bounds(), in_front, counters);
     case core::CodecKind::kRleRect:
-      return wire::unpack_composite_rle_rect(image, in, image.bounds(), in_front, counters);
+      return ref::unpack_composite_rle_rect(image, in, image.bounds(), in_front, counters);
     case core::CodecKind::kSpanRect:
-      return wire::unpack_composite_span_rect(image, in, image.bounds(), in_front, counters);
+      return ref::unpack_composite_span_rect(image, in, image.bounds(), in_front, counters);
     case core::CodecKind::kInterleavedRle:
       break;
   }
@@ -66,8 +67,8 @@ img::Rect reference_decode_rect(core::CodecKind kind, img::Image& image, const i
 /// The reference decode of one interleaved-RLE message covering `part`.
 void reference_decode_range(img::Image& image, const img::InterleavedRange& part,
                             img::UnpackBuffer& in, bool in_front, core::Counters& counters) {
-  const img::Rle incoming = wire::parse_rle(in, part.count);
-  wire::composite_rle_strided(image, part, incoming, in_front, counters);
+  const img::Rle incoming = ref::parse_rle(in, part.count);
+  ref::composite_rle_strided(image, part, incoming, in_front, counters);
 }
 
 /// Byte-exact frame comparison (the streaming decoders promise identity,

@@ -14,8 +14,10 @@
 #include <limits>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/plan_compositor.hpp"
 #include "mp/envelope.hpp"
 #include "mp/errors.hpp"
 #include "mp/mailbox.hpp"
@@ -396,13 +398,14 @@ TEST(Serialize, ImageGoldenBytesAndBitExactRoundTrip) {
   pvr::ByteWriter w;
   pvr::write_image(w, image);
   const std::vector<std::byte> buf = std::move(w).take();
-  // The serialisation format, fixed: width, height, then each float's
+  // The serialisation format, fixed: width, height, the row's span (offset
+  // 0, length 2: both pixels have a non-zero byte), then each float's
   // little-endian bit pattern.
   const std::vector<std::uint8_t> golden = {
-      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
-      0x45, 0x23, 0xC1, 0x7F, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F,
-      0x01, 0x00, 0xA0, 0xFF, 0xFF, 0xFF, 0x7F, 0x80, 0x00, 0x00, 0x00, 0x3F,
-      0x00, 0x00, 0x00, 0x00};
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x45, 0x23, 0xC1, 0x7F,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F, 0x01, 0x00, 0xA0, 0xFF,
+      0xFF, 0xFF, 0x7F, 0x80, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x00, 0x00};
   ASSERT_EQ(buf.size(), golden.size());
   for (std::size_t i = 0; i < golden.size(); ++i) {
     EXPECT_EQ(std::to_integer<std::uint8_t>(buf[i]), golden[i]) << "byte " << i;
@@ -432,6 +435,59 @@ TEST(Serialize, TruncatedImageThrowsOutOfRange) {
   pvr::write_image(w, img::Image(3, 2));
   std::vector<std::byte> buf = std::move(w).take();
   buf.pop_back();
+  pvr::ByteReader r(buf);
+  EXPECT_THROW((void)pvr::read_image(r), std::out_of_range);
+}
+
+TEST(Serialize, ImageReportIsTheRowSpansOfTheFrame) {
+  // Rank 0's kReportImage of a procs-orbit frame (engine_low at scale 1.0,
+  // 384^2, the ring's first view): width, height, 8 bytes per row and 16 per
+  // row-span pixel, read back byte for byte.
+  const pvr::Experiment experiment(pvr::ExperimentConfig{});
+  const img::Image frame = experiment.run(core::bsbrc()).final_image;
+  ASSERT_EQ(frame.height(), 384);
+  pvr::ByteWriter w;
+  pvr::write_image(w, frame);
+  const std::vector<std::byte> buf = std::move(w).take();
+  const std::int64_t spans = slspvr::testing::row_span_pixels(frame, frame.bounds());
+  EXPECT_EQ(static_cast<std::int64_t>(buf.size()), 8 + 8 * 384 + 16 * spans);
+  EXPECT_LT(spans, frame.pixel_count() / 2);
+
+  pvr::ByteReader r(buf);
+  const img::Image back = pvr::read_image(r);
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(back.width(), frame.width());
+  ASSERT_EQ(back.height(), frame.height());
+  EXPECT_EQ(std::memcmp(back.pixels().data(), frame.pixels().data(),
+                        frame.pixels().size_bytes()),
+            0);
+}
+
+TEST(Serialize, MalformedImageThrowsOutOfRange) {
+  // Everything read_image rejects is std::out_of_range, the one error
+  // decode_reports drops a report for: bad dimensions before anything is
+  // allocated, and a row span past the image's width.
+  const auto header = [](std::int32_t width, std::int32_t height) {
+    pvr::ByteWriter w;
+    w.i32(width);
+    w.i32(height);
+    for (int i = 0; i < 4; ++i) w.u64(0);  // room for four empty rows
+    return std::move(w).take();
+  };
+  for (const auto& [width, height] :
+       {std::pair{-1, 2}, std::pair{2, -1}, std::pair{pvr::kMaxImageSide + 1, 1},
+        std::pair{1, pvr::kMaxImageSide + 1}, std::pair{3, 5}}) {
+    const std::vector<std::byte> buf = header(width, height);
+    pvr::ByteReader r(buf);
+    EXPECT_THROW((void)pvr::read_image(r), std::out_of_range) << width << "x" << height;
+  }
+  pvr::ByteWriter w;
+  w.i32(3);
+  w.i32(1);
+  w.u32(2);  // offset 2, length 2: one pixel past the width
+  w.u32(2);
+  for (int i = 0; i < 8; ++i) w.f32(1.0f);
+  const std::vector<std::byte> buf = std::move(w).take();
   pvr::ByteReader r(buf);
   EXPECT_THROW((void)pvr::read_image(r), std::out_of_range);
 }
