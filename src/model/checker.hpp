@@ -3,7 +3,7 @@
 //
 // slspvr-check proves the *compositing schedules* deadlock-free; this layer
 // does the same for the *runtime protocols underneath them* — supervisor
-// hub, worker lifecycle, heartbeat watchdog, frame parking, frame barriers,
+// hub, worker lifecycle, heartbeat watchdog, promotion, frame barriers,
 // resurrection, mailbox backpressure and the envelope NAK/retransmit
 // channel — by exhaustively exploring every interleaving of a small
 // code-mirroring model (protocol.hpp) and checking safety invariants plus

@@ -34,8 +34,6 @@ void put8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)
 const char* mutant_name(Mutant m) {
   switch (m) {
     case Mutant::kNone: return "none";
-    case Mutant::kNoParking: return "no-parking";
-    case Mutant::kSkipBacklogReplay: return "skip-backlog-replay";
     case Mutant::kSkipPoisonBroadcast: return "skip-poison-broadcast";
     case Mutant::kDoublePromotion: return "double-promotion";
     case Mutant::kNoWatchdog: return "no-watchdog";
@@ -73,7 +71,6 @@ void ResurrectionModel::fail(State& st, int w) const {
   sp.dead = true;
   sp.promoted = false;
   sp.frame_done = false;
-  sp.parked.clear();
   st.any_failure = true;
   if (st.frame_active) {
     st.faulted_frames = static_cast<std::uint8_t>(st.faulted_frames | (1U << st.frame));
@@ -113,8 +110,7 @@ void ResurrectionModel::deposit(State& st, int w, const SeqMsg& msg) const {
 
 /// Supervisor-side handling of an uplink kData frame from `src` (live link
 /// or limbo): the seq-reuse monitor, the roster generation check of
-/// handle_frame(), then routing with parking for a rank whose hello is
-/// still in flight.
+/// handle_frame(), then routing to a promoted destination.
 void ResurrectionModel::route(State& st, int src, const SeqMsg& msg) const {
   const int bit = msg.gen * scenario_.frames * scenario_.stages + msg.seq;
   if (bit >= 0 && bit < 16) {
@@ -131,14 +127,10 @@ void ResurrectionModel::route(State& st, int src, const SeqMsg& msg) const {
     return;
   }
   const auto dest = static_cast<std::size_t>(msg.a);
-  if (st.sup[dest].dead || st.sup[dest].demoted) return;  // no link to route to
+  // Dead and demoted ranks are unpromoted too: no link to route to.
+  if (!st.sup[dest].promoted) return;
   SeqMsg out = msg;
   out.a = static_cast<std::int8_t>(src);  // down-link kData carries its source
-  if (!st.sup[dest].promoted) {
-    if (scenario_.mutant == Mutant::kNoParking) return;  // dropped, not parked
-    st.sup[dest].parked.push_back(out);
-    return;
-  }
   st.down[dest].push_back(out);
 }
 
@@ -265,7 +257,7 @@ void ResurrectionModel::enumerate(const State& s, std::vector<Action>& out) cons
   if (!s.frame_active && !s.shutdown_sent && s.frames_done < F) {
     bool ready = true;
     for (int w = 0; w < W; ++w) {
-      if (!s.sup[w].demoted && s.sup[w].dead) ready = false;
+      if (!s.sup[w].demoted && !s.sup[w].promoted) ready = false;
     }
     if (ready) push(kSupActor, aFrameOpen, -1, s.frames_done, kSup | kDownAll);
   }
@@ -385,12 +377,6 @@ ResurrectionModel::State ResurrectionModel::apply(const State& s, const Action& 
             n.bad = BadState::kDoublePromotion;
           }
           n.sup[w].promoted = true;
-          // Backlog replay: frames parked while this (re)join's hello was in
-          // flight move onto the fresh link. The mutant discards them.
-          if (scenario_.mutant != Mutant::kSkipBacklogReplay) {
-            for (const SeqMsg& m : n.sup[w].parked) n.down[w].push_back(m);
-          }
-          n.sup[w].parked.clear();
           break;
         }
         case SeqMsg::Kind::kData:
@@ -582,7 +568,6 @@ void ResurrectionModel::encode(const State& s, std::string& out) const {
     put8(out, static_cast<std::uint8_t>(sp.respawns));
     put8(out, static_cast<std::uint8_t>((sp.promoted ? 1 : 0) | (sp.dead ? 2 : 0) |
                                         (sp.demoted ? 4 : 0) | (sp.frame_done ? 8 : 0)));
-    put_queue(sp.parked);
     put_queue(s.up[w]);
     put_queue(s.down[w]);
     put_queue(s.limbo[w]);

@@ -4,12 +4,12 @@
 //
 // ResurrectionModel mirrors, actor by actor, Supervisor::run_sequence and
 // the resident worker loop (proc_runner.cpp + socket_transport.cpp):
-//   * the supervisor poll loop: per-link pump, kData routing with parking
-//     for not-yet-promoted destinations, promotion at kHello with backlog
-//     replay (a duplicate kHello is ignored), kFrameStart/kFrameDone
-//     barriers, waitpid reap and heartbeat watchdog -> fail() -> kPeerFailed
-//     broadcast, boundary respawn under a budget, circuit-breaker demotion,
-//     kShutdown once the last frame settled;
+//   * the supervisor poll loop: per-link pump, kData routing (dropped for a
+//     dead, demoted or not-yet-promoted destination), promotion at kHello (a
+//     duplicate kHello is ignored), kFrameStart once every live rank is
+//     promoted and the kFrameDone barrier, waitpid reap and heartbeat
+//     watchdog -> fail() -> kPeerFailed broadcast, boundary respawn under a
+//     budget, circuit-breaker demotion, kShutdown once the last frame settled;
 //   * the worker: connect -> kHello{generation} -> per frame a ring
 //     exchange of `stages` rounds of sends and mailbox receives ->
 //     kFrameDone -> ... -> exit on kShutdown, aborting a frame when its
@@ -53,17 +53,10 @@ inline constexpr int kMaxWorkers = 4;
 /// A new mutant goes into kAllMutants too.
 enum class Mutant : std::uint8_t {
   kNone = 0,
-  /// Startup race: drop (instead of park) kData addressed to a rank that
-  /// has not completed its kHello yet.
-  kNoParking,
-  /// Park, but discard the parked backlog at promotion — a first join's or
-  /// a respawned incarnation's — instead of replaying it onto the fresh
-  /// link: the promoted rank waits on a message that was silently dropped.
-  kSkipBacklogReplay,
   /// Record a failure without broadcasting kPeerFailed: survivors block.
   kSkipPoisonBroadcast,
   /// Re-run promotion on a duplicate kHello (the real supervisor ignores
-  /// it): the backlog replay runs twice.
+  /// it): one incarnation is promoted twice.
   kDoublePromotion,
   /// Disable the heartbeat watchdog: a SIGSTOPped worker wedges the run.
   kNoWatchdog,
@@ -87,10 +80,9 @@ enum class Mutant : std::uint8_t {
 /// Every seeded defect, kNone excluded, in enumerator order: slspvr-model
 /// --mutants fails when one of them is paired with no scenario.
 inline constexpr std::array kAllMutants{
-    Mutant::kNoParking,          Mutant::kSkipBacklogReplay,   Mutant::kSkipPoisonBroadcast,
-    Mutant::kDoublePromotion,    Mutant::kNoWatchdog,          Mutant::kAckBeforeDeposit,
-    Mutant::kRenumberRetransmit, Mutant::kDropGenerationCheck, Mutant::kResurrectTwice,
-    Mutant::kRespawnSameGeneration,
+    Mutant::kSkipPoisonBroadcast, Mutant::kDoublePromotion,    Mutant::kNoWatchdog,
+    Mutant::kAckBeforeDeposit,    Mutant::kRenumberRetransmit, Mutant::kDropGenerationCheck,
+    Mutant::kResurrectTwice,      Mutant::kRespawnSameGeneration,
 };
 static_assert(static_cast<std::size_t>(kAllMutants.back()) == kAllMutants.size(),
               "kAllMutants lists every enumerator after kNone, in order");
@@ -159,10 +151,9 @@ enum class BadState : std::uint8_t {
 /// roster; the kDropGenerationCheck mutant routes them and trips
 /// BadState::kStaleDelivery when one lands in a later frame's mailbox.
 ///
-/// A frame opens once no live rank is dead, without waiting for promotion;
-/// the real loop also waits for every live rank's kHello. That
-/// over-approximation is what lets the model exercise parking and backlog
-/// replay.
+/// A frame opens only once every non-demoted rank's current incarnation is
+/// promoted, as in the real loop, so no kData ever waits for a kHello: the
+/// supervisor drops kData for an unpromoted destination, as for a dead one.
 ///
 /// Invariants (beyond deadlock/livelock-freedom):
 ///  * no stale-generation delivery: every deposited frame carries the
@@ -228,7 +219,6 @@ class ResurrectionModel {
     bool dead = false;      ///< crashed and reaped, not yet resurrected
     bool demoted = false;   ///< circuit breaker open: folded out for good
     bool frame_done = false;
-    std::vector<SeqMsg> parked;  ///< kData awaiting this rank's promotion
   };
 
   struct State {
@@ -273,7 +263,7 @@ class ResurrectionModel {
     aWatchdog,     ///< heartbeat timeout: fail + SIGKILL a stalled worker
     aRespawn,      ///< frame boundary: fork the rank again, generation + 1
     aDemote,       ///< frame boundary: respawn budget dry, fold the rank out
-    aFrameOpen,    ///< all ranks resolved: broadcast kFrameStart
+    aFrameOpen,    ///< every live rank promoted: broadcast kFrameStart
     aSettle,       ///< every live rank finished the frame
     aShutdown,     ///< sequence over: broadcast kShutdown
   };

@@ -61,8 +61,8 @@ ReplaySchedule derive_schedule(const ResurrectionModel& model, const Counterexam
   out.connect_delay_ms.assign(static_cast<std::size_t>(sc.workers), 0);
 
   // Connect order -> staggered delays: a rank whose first connect the trace
-  // interleaves after other actors' steps joins late for real, reopening
-  // the parking window the trace exercised (a respawned incarnation's
+  // interleaves after other actors' steps joins late for real, so the first
+  // frame waits for its hello as in the trace (a respawned incarnation's
   // reconnect is the supervisor's business, not ours). Ring ops accumulate
   // across frames so the crash and stall traps land in the frame the trace
   // struck in. Only the first crash and stall are planted — the real
@@ -274,7 +274,8 @@ void check_frame_traces(const ReplaySchedule& rs, const mp::FrameOutcome& frame,
 /// Protocol-legality checks for the sequence event stream: generations
 /// strictly advance, nobody is resurrected alive or past the budget,
 /// demotion only strikes the dead, frames open/settle strictly
-/// alternating 0..frames-1, stale rejects really are stale.
+/// alternating 0..frames-1 and open only once every non-demoted rank's
+/// current incarnation is promoted, stale rejects really are stale.
 void verify_sequence_events(const ReplaySchedule& rs,
                             const std::vector<mp::ProtocolEvent>& events,
                             std::vector<std::string>& problems) {
@@ -285,8 +286,9 @@ void verify_sequence_events(const ReplaySchedule& rs,
   std::vector<int> generation(W, 0);
   std::vector<int> respawns(W, 0);
   std::vector<int> promotions(W, 0);
-  std::vector<int> parked(W, 0);
-  std::vector<int> replayed(W, 0);
+  // The rank's current incarnation (since the start or its last kRespawned)
+  // was promoted: no frame may open before.
+  std::vector<bool> promoted(W, false);
   int open_frame = -1;
   int frames_settled = 0;
   int shutdowns = 0;
@@ -316,6 +318,7 @@ void verify_sequence_events(const ReplaySchedule& rs,
         }
         generation[r] = ev.count;
         dead[r] = false;
+        promoted[r] = false;
         break;
       case Kind::kDemoted:
         if (!dead[r]) {
@@ -340,6 +343,12 @@ void verify_sequence_events(const ReplaySchedule& rs,
         if (ev.count != frames_settled) {
           problems.push_back("frame " + std::to_string(ev.count) + " opened out of order");
         }
+        for (std::size_t k = 0; k < W; ++k) {
+          if (demoted[k] || promoted[k]) continue;
+          problems.push_back("frame " + std::to_string(ev.count) + " opened before rank " +
+                             std::to_string(k) + " (generation " +
+                             std::to_string(generation[k]) + ") was promoted");
+        }
         open_frame = ev.count;
         break;
       case Kind::kFrameSettled:
@@ -358,25 +367,13 @@ void verify_sequence_events(const ReplaySchedule& rs,
                              std::to_string(promotions[r]) + " times with " +
                              std::to_string(respawns[r]) + " respawns");
         }
-        break;
-      case Kind::kParked:
-        ++parked[r];
-        break;
-      case Kind::kBacklogReplayed:
-        replayed[r] += ev.count;
+        promoted[r] = true;
         break;
       case Kind::kShutdownBroadcast:
         ++shutdowns;
         break;
       case Kind::kGoodbye:
         break;
-    }
-  }
-  for (std::size_t r = 0; r < W; ++r) {
-    if (replayed[r] > parked[r]) {
-      problems.push_back("rank " + std::to_string(r) + ": " + std::to_string(replayed[r]) +
-                         " frames replayed but only " + std::to_string(parked[r]) +
-                         " were parked");
     }
   }
   if (frames_settled != rs.frames) {

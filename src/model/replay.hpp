@@ -35,7 +35,7 @@ struct ReplaySchedule {
   int respawn_budget = 1;            ///< RespawnPolicy::max_respawns_per_rank
   /// Per-rank delay before connecting, derived from the trace's connect
   /// order: ranks whose kHello the trace interleaves after other traffic
-  /// connect late, reproducing the parking windows.
+  /// connect late, so the first frame waits for them as in the trace.
   std::vector<int> connect_delay_ms;
   /// The first incarnation of crash_rank raises SIGKILL after
   /// `crash_after_ops` ring ops, counted across frames.
@@ -72,8 +72,8 @@ struct ReplayReport {
 };
 
 /// Execute the schedule against the real runtime and verify conformance:
-/// protocol events legal (one promotion per incarnation, no more frames
-/// replayed than parked, frames opening and settling in order), vector-clock
+/// protocol events legal (one promotion per incarnation, frames opening only
+/// once every live rank is promoted and settling in order), vector-clock
 /// happens-before clean on every clean frame, the planted crash or stall
 /// detected with no collateral failure, and the rank resurrected exactly
 /// when a later frame follows its death.

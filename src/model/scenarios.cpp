@@ -36,8 +36,9 @@ std::vector<Scenario> all_scenarios(int max_workers) {
   // One-frame runs: a death in the only frame is followed by no
   // resurrection, so these check the in-frame protocol on its own.
 
-  // hello: the startup path — parking for not-yet-promoted ranks, promotion
-  // with backlog replay, shutdown drain. Exhaustive up to `top`.
+  // hello: the startup path — connects in any order, promotion, the first
+  // frame opening once every rank is promoted, shutdown drain. Exhaustive
+  // up to `top`.
   for (int w = 2; w <= top; ++w) {
     out.push_back(one_frame("hello-w" + std::to_string(w), w, 1));
   }
@@ -76,9 +77,9 @@ std::vector<Scenario> all_scenarios(int max_workers) {
 
   // respawn: two rendering frames, one nondeterministic mid-frame SIGKILL,
   // boundary resurrection with a generation bump. Checks the rejoin window
-  // (backlog parking for the respawned rank), stale-generation rejection of
-  // the dead incarnation's delayed traffic, and that the post-recovery
-  // frame is whole again.
+  // (the next frame waits for the respawned rank's promotion),
+  // stale-generation rejection of the dead incarnation's delayed traffic,
+  // and that the post-recovery frame is whole again.
   for (int w = 2; w <= std::min(3, top); ++w) {
     out.push_back(resurrection("respawn-w" + std::to_string(w), w, kMaxWorkers));
   }
@@ -123,15 +124,14 @@ std::vector<Mutant> mutants_for(const Scenario& scenario) {
     return {Mutant::kAckBeforeDeposit, Mutant::kRenumberRetransmit};
   }
   if (scenario.frames > 1) {
-    if (scenario.respawn_budget <= 0) return {};  // demotion path: no rejoin
-    return {Mutant::kDropGenerationCheck, Mutant::kSkipBacklogReplay,
-            Mutant::kResurrectTwice, Mutant::kRespawnSameGeneration};
+    // Demotion path: no rejoin, but the crash must still poison the survivor.
+    if (scenario.respawn_budget <= 0) return {Mutant::kSkipPoisonBroadcast};
+    return {Mutant::kDropGenerationCheck, Mutant::kResurrectTwice,
+            Mutant::kRespawnSameGeneration};
   }
   std::vector<Mutant> out;
-  // The startup races need the plain startup path to surface.
+  // The duplicate hello needs the plain startup path to surface.
   if (scenario.crash_rank < 0 && scenario.stall_rank < 0) {
-    out.push_back(Mutant::kNoParking);  // early frames dropped
-    out.push_back(Mutant::kSkipBacklogReplay);
     out.push_back(Mutant::kDoublePromotion);
   }
   if (scenario.crash_rank >= 0) out.push_back(Mutant::kSkipPoisonBroadcast);

@@ -185,7 +185,6 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
   std::vector<Link> ranks(np);
   for (Link& link : ranks) link.last_heard = t0;
   std::vector<Link> pending;
-  std::vector<std::deque<std::vector<std::byte>>> parked(np);
 
   int frame = -1;  // active frame index; -1 = between frames
   int next_frame = 0;
@@ -283,7 +282,6 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
     w.fd.reset();
     w.closed = true;
     w.outbound.clear();
-    parked[i].clear();
     dead[i] = true;
     rejoin_by[i].reset();
   };
@@ -330,12 +328,9 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         if (f.dest < 0 || f.dest >= procs) break;
         if (demoted[static_cast<std::size_t>(f.dest)]) break;
         Link& d = rank_link(f.dest);
-        if (d.failed || d.closed) break;
-        if (!d.fd.valid()) {
-          observe(ProtocolEvent::Kind::kParked, f.dest);
-          parked[static_cast<std::size_t>(f.dest)].push_back(pack_frame(f));
-          break;
-        }
+        // Drop kData for a failed, closed or unpromoted rank: a frame opens
+        // only once every live rank is promoted, so nothing waits for a hello.
+        if (d.failed || d.closed || !d.fd.valid()) break;
         d.outbound.push_back(pack_frame(f));
         break;
       }
@@ -545,7 +540,6 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         }
         ranks[i] = Link{};
         ranks[i].last_heard = now;
-        parked[i].clear();
         respawn_at[i].reset();
         clean_exit[i] = false;  // the flag belonged to the dead incarnation
         ++out.generations[i];
@@ -679,13 +673,6 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
           w.reader = std::move(p.reader);
           w.last_heard = now;
           observe(ProtocolEvent::Kind::kPromoted, hello_rank);
-          auto& backlog = parked[hi];
-          if (!backlog.empty()) {
-            observe(ProtocolEvent::Kind::kBacklogReplayed, hello_rank,
-                    static_cast<int>(backlog.size()));
-          }
-          for (auto& wire : backlog) w.outbound.push_back(std::move(wire));
-          backlog.clear();
           // No failure-history replay: a frame opens only once every live
           // rank is promoted, and its kFrameStart roster carries everything
           // a late joiner missed.

@@ -61,12 +61,12 @@ inline constexpr int kWorkerExitError = 5;
 /// One observable protocol decision of the supervisor poll loop. The model
 /// checker (src/model) replays its counterexample schedules against the real
 /// supervisor and asserts these events arrive in a protocol-legal order, so
-/// the hand-written model stays pinned to this code.
+/// the hand-written model stays pinned to this code; slspvr-model --mutants
+/// --replay also needs every kind (its kEventKinds lists them) from some
+/// replay.
 struct ProtocolEvent {
   enum class Kind {
-    kParked,             ///< kData for a not-yet-promoted rank parked
     kPromoted,           ///< kHello accepted; rank joined the hub
-    kBacklogReplayed,    ///< parked frames moved to the fresh link (count)
     kFailureRecorded,    ///< a real failure recorded + kPeerFailed broadcast
     kShutdownBroadcast,  ///< kShutdown queued to every open link
     kGoodbye,            ///< kGoodbye received; rank is done
@@ -77,7 +77,7 @@ struct ProtocolEvent {
     kFrameOpened,        ///< kFrameStart broadcast (rank −1, count = frame)
     kFrameSettled,       ///< every live rank finished a frame (count = frame)
   };
-  Kind kind = Kind::kParked;
+  Kind kind = Kind::kPromoted;
   int rank = -1;       ///< the rank the event is about
   int count = 0;       ///< kind-specific number (see each kind)
   std::string detail;  ///< kFailureRecorded: the provenance string

@@ -5,6 +5,7 @@
 // conformance replay of a mutant counterexample against the real runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -162,13 +163,13 @@ TEST(ModelScenarios, PartialOrderReductionPreservesVerdictAndStateCount) {
 // A mutant counterexample's schedule, replayed against the real (fixed)
 // supervisor over real sockets, must come out clean: the model's adversarial
 // interleaving corresponds to a real execution the shipped code handles.
-TEST(ModelReplay, NoParkingCounterexampleReplaysCleanly) {
+TEST(ModelReplay, StartupCounterexampleReplaysCleanly) {
   Scenario sc;
   for (const Scenario& s : all_scenarios(2)) {
     if (s.name == "hello-w2") sc = s;
   }
   ASSERT_EQ(sc.name, "hello-w2");
-  sc.mutant = Mutant::kNoParking;
+  sc.mutant = Mutant::kDoublePromotion;
   const CheckResult res = run_scenario(sc, test_limits());
   ASSERT_TRUE(res.counterexample.has_value());
   const ReplaySchedule schedule =
@@ -198,9 +199,9 @@ TEST(ModelReplay, RetransmitCounterexampleReplaysCleanly) {
   EXPECT_TRUE(rep.ok) << rep.summary();
 }
 
-// The resurrection ladder: a counterexample from the no-backlog-replay
-// mutant (a respawned rank whose parked frames are discarded wedges the
-// sequence) projects onto a crash-then-respawn schedule; the real
+// The resurrection ladder: a counterexample from the dropped-generation-check
+// mutant (a dead incarnation's delayed frame lands in the next frame's
+// mailbox) projects onto a crash-then-respawn schedule; the real
 // Supervisor::run_sequence must detect the crash, resurrect the rank into
 // generation 1, and run every post-recovery frame whole.
 TEST(ModelReplay, ResurrectionCounterexampleReplaysCleanly) {
@@ -209,7 +210,7 @@ TEST(ModelReplay, ResurrectionCounterexampleReplaysCleanly) {
     if (s.name == "respawn-w2") sc = s;
   }
   ASSERT_EQ(sc.name, "respawn-w2");
-  sc.mutant = Mutant::kSkipBacklogReplay;
+  sc.mutant = Mutant::kDropGenerationCheck;
   const CheckResult res = run_scenario(sc, test_limits());
   ASSERT_TRUE(res.counterexample.has_value());
   const ReplaySchedule schedule =
@@ -218,6 +219,30 @@ TEST(ModelReplay, ResurrectionCounterexampleReplaysCleanly) {
   EXPECT_GE(schedule.crash_rank, 0);
   const ReplayReport rep = replay_schedule(schedule);
   EXPECT_TRUE(rep.ok) << rep.summary();
+}
+
+// The circuit breaker: with a zero respawn budget, the skipped-poison
+// mutant's crash schedule must drive the real supervisor to demote the dead
+// rank exactly once and still settle every frame.
+TEST(ModelReplay, DemotionCounterexampleReplaysCleanly) {
+  Scenario sc;
+  for (const Scenario& s : all_scenarios(2)) {
+    if (s.name == "demote-w2") sc = s;
+  }
+  ASSERT_EQ(sc.name, "demote-w2");
+  sc.mutant = Mutant::kSkipPoisonBroadcast;
+  const CheckResult res = run_scenario(sc, test_limits());
+  ASSERT_TRUE(res.counterexample.has_value());
+  const ReplaySchedule schedule =
+      derive_schedule(ResurrectionModel(sc), *res.counterexample);
+  EXPECT_EQ(schedule.respawn_budget, 0);
+  EXPECT_GE(schedule.crash_rank, 0);
+  const ReplayReport rep = replay_schedule(schedule);
+  EXPECT_TRUE(rep.ok) << rep.summary();
+  const auto demotions = std::count_if(
+      rep.events.begin(), rep.events.end(),
+      [](const mp::ProtocolEvent& ev) { return ev.kind == mp::ProtocolEvent::Kind::kDemoted; });
+  EXPECT_EQ(demotions, 1) << rep.summary();
 }
 
 }  // namespace

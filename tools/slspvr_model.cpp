@@ -10,13 +10,17 @@
 //
 // Exit codes: 0 all checks passed, 1 a verification failed (invariant
 // violation, deadlock, livelock, budget exhausted, undetected mutant, a
-// mutant paired with no scenario, or a replay nonconformance), 2 usage
-// error.
+// mutant paired with no scenario, a replay nonconformance, or a supervisor
+// event kind that no replay of a full --mutants --replay run emitted), 2
+// usage error.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_parse.hpp"
@@ -26,6 +30,29 @@
 namespace {
 
 using namespace slspvr;
+
+using EventKind = mp::ProtocolEvent::Kind;
+
+/// Every supervisor event kind, in enumerator order, with its name. A full
+/// --mutants --replay run needs each from some replay, so the model checks
+/// no supervisor path that the runtime never takes.
+constexpr std::array<std::pair<EventKind, const char*>, 9> kEventKinds{{
+    {EventKind::kPromoted, "kPromoted"},
+    {EventKind::kFailureRecorded, "kFailureRecorded"},
+    {EventKind::kShutdownBroadcast, "kShutdownBroadcast"},
+    {EventKind::kGoodbye, "kGoodbye"},
+    {EventKind::kRespawned, "kRespawned"},
+    {EventKind::kDemoted, "kDemoted"},
+    {EventKind::kStaleRejected, "kStaleRejected"},
+    {EventKind::kFrameOpened, "kFrameOpened"},
+    {EventKind::kFrameSettled, "kFrameSettled"},
+}};
+
+/// The one kind exempt from that gate. Every stale reject the model makes
+/// comes from pumping its `limbo` channel (a dead incarnation's unread
+/// bytes), but the real fail() resets a failed link's fd and never reads
+/// that link again, so no replay can drive one.
+constexpr EventKind kUnreplayedEventKind = EventKind::kStaleRejected;
 
 void usage(const char* argv0) {
   std::printf(
@@ -37,7 +64,9 @@ void usage(const char* argv0) {
       "  --scenario NAME   verify one scenario by name\n"
       "  --mutants         seed every protocol mutant and require that the\n"
       "                    checker finds a counterexample for each (and that\n"
-      "                    every mutant is paired with some scenario)\n"
+      "                    every mutant is paired with some scenario); with\n"
+      "                    --replay over all scenarios, every supervisor event\n"
+      "                    kind but kStaleRejected must come from some replay\n"
       "  --max-workers N   scenario worker-count ceiling, 2..4 (default 4)\n"
       "  --max-states N    visited-state budget per run, 1000..1000000000\n"
       "                    (default 2000000)\n"
@@ -88,14 +117,17 @@ void write_trace(const Cli& cli, const std::string& name,
 
 /// Replay a counterexample's schedule against the real runtime. For mutants
 /// the shipped code has the fix, so the replay must come out clean; returns
-/// false (a real defect!) when it does not.
-bool replay_counterexample(const model::Scenario& sc, const model::Counterexample& cex) {
+/// false (a real defect!) when it does not. Counts the supervisor events the
+/// replay emitted into `events`.
+bool replay_counterexample(const model::Scenario& sc, const model::Counterexample& cex,
+                           std::map<EventKind, int>& events) {
   const model::ReplaySchedule schedule =
       sc.kind == model::Scenario::Kind::kRetransmit
           ? model::derive_schedule(model::RetransmitModel(sc), cex)
           : model::derive_schedule(model::ResurrectionModel(sc), cex);
   const model::ReplayReport rep = model::replay_schedule(schedule);
   std::printf("  replay [%s]: %s\n", schedule.scenario.c_str(), rep.summary().c_str());
+  for (const mp::ProtocolEvent& ev : rep.events) ++events[ev.kind];
   return rep.ok;
 }
 
@@ -154,6 +186,7 @@ int main(int argc, char** argv) {
   const std::vector<model::Scenario> scenarios = model::all_scenarios(cli.max_workers);
   int verified = 0;
   int failed = 0;
+  std::map<EventKind, int> events;  // supervisor events the replays emitted
 
   // Mutation coverage of the registry itself: a mutant that no scenario is
   // paired with would pass the gate unseen.
@@ -189,7 +222,7 @@ int main(int argc, char** argv) {
         std::printf("FAIL %-18s %s\n", sc.name.c_str(), res.summary().c_str());
         if (res.counterexample) {
           write_trace(cli, sc.name, *res.counterexample);
-          if (cli.replay && !replay_counterexample(sc, *res.counterexample)) {
+          if (cli.replay && !replay_counterexample(sc, *res.counterexample, events)) {
             std::printf("  (the counterexample also reproduces against the real "
                         "runtime)\n");
           }
@@ -219,7 +252,7 @@ int main(int argc, char** argv) {
       if (cli.replay) {
         // The real runtime has the fix: the mutant's adversarial schedule
         // must replay cleanly, pinning the model to the code.
-        ok = replay_counterexample(mutated, *res.counterexample);
+        ok = replay_counterexample(mutated, *res.counterexample, events);
       }
       if (ok) {
         ++verified;
@@ -238,6 +271,19 @@ int main(int argc, char** argv) {
   if (verified + failed == 0) {
     std::fprintf(stderr, "no scenario matched %s\n", cli.scenario.c_str());
     return 2;
+  }
+  if (cli.mutants && cli.replay && cli.all) {
+    const char* sep = "replayed events: ";
+    for (const auto& [kind, name] : kEventKinds) {
+      std::printf("%s%s %d", sep, name, events[kind]);
+      sep = ", ";
+    }
+    std::printf("\n");
+    for (const auto& [kind, name] : kEventKinds) {
+      if (kind == kUnreplayedEventKind || events[kind] > 0) continue;
+      ++failed;
+      std::printf("FAIL %-34s emitted by no replay\n", name);
+    }
   }
   std::printf("%d verified, %d failed\n", verified, failed);
   return failed == 0 ? 0 : 1;
